@@ -17,14 +17,11 @@ import numpy as np
 from lumaforge import ColorBuffer, write_image
 
 
-def synth_frame(rng: np.random.Generator, rows: int, cols: int, tick: int, block: int = 8) -> ColorBuffer:
+def synth_frame(rng: np.random.Generator, rows: int, cols: int, block: int = 8) -> ColorBuffer:
+    """A block texture: a coarse grid of random RGB levels in 20..199, upsampled by block."""
     coarse_shape = ((rows + block - 1) // block, (cols + block - 1) // block, 3)
     coarse = rng.integers(20, 200, size=coarse_shape, dtype=np.uint8)
-    frame = np.kron(coarse, np.ones((block, block, 1), dtype=np.uint8))[:rows, :cols]
-    frame = np.roll(frame, shift=tick * 2, axis=1)  # horizontal drift
-    bar = (tick * 5) % rows
-    frame[bar:bar + 4, :, :] = 230
-    return ColorBuffer(frame)
+    return ColorBuffer(np.kron(coarse, np.ones((block, block, 1), dtype=np.uint8))[:rows, :cols])
 
 
 def main() -> int:
@@ -40,11 +37,10 @@ def main() -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    base = synth_frame(rng, args.rows, args.cols, 0)
+    base = synth_frame(rng, args.rows, args.cols)
     for tick in range(args.frames):
-        frame = ColorBuffer(np.roll(base.data, shift=tick * 2, axis=1))
+        drifted = np.roll(base.data, shift=tick * 2, axis=1)  # horizontal drift
         bar_row = (tick * 5) % args.rows
-        drifted = frame.data.copy()
         drifted[bar_row:bar_row + 4, :, :] = 230
         write_image(ColorBuffer(drifted), out_dir / f"{args.stem}_{tick:03d}.ppm")
     print(f"wrote {args.frames} frames ({args.rows}x{args.cols}) to {out_dir}")

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep impulse-noise density against both smoothing filters.
 
-For each density d the script corrupts a seeded block-texture frame with
-salt-and-pepper noise, smooths it with the plain median and the hybrid
-median (3x3), and prints the PSNR of each result against the clean frame.
-Useful for picking a filter/window before a batch run.
+For each density d the script corrupts the red plane of a seeded block
+texture (the one make_demo_sequence.py draws) with salt-and-pepper noise,
+smooths it with the plain median and the hybrid median (3x3), and prints the
+PSNR of each result against the clean frame. Useful for picking a
+filter/window before a batch run.
 
     python scripts/noise_filter_sweep.py --densities 0.02 0.05 0.1 0.2
 """
@@ -13,20 +14,8 @@ import argparse
 
 import numpy as np
 
-from lumaforge import (
-    FilterWindow,
-    PixelBuffer,
-    hybrid_median_filter,
-    median_filter,
-    psnr,
-    salt_pepper,
-)
-
-
-def block_texture(seed: int, rows: int, cols: int, block: int = 8) -> PixelBuffer:
-    rng = np.random.default_rng(seed)
-    coarse = rng.integers(0, 256, ((rows + block - 1) // block, (cols + block - 1) // block), dtype=np.uint8)
-    return PixelBuffer(np.kron(coarse, np.ones((block, block), dtype=np.uint8))[:rows, :cols])
+from lumaforge import FilterWindow, hybrid_median_filter, median_filter, psnr, salt_pepper
+from make_demo_sequence import synth_frame  # sibling script in scripts/
 
 
 def main() -> int:
@@ -44,7 +33,7 @@ def main() -> int:
     for d in args.densities:
         noisy_db, median_db, hybrid_db = [], [], []
         for trial in range(args.trials):
-            clean = block_texture(args.seed + trial, args.rows, args.cols)
+            clean = synth_frame(np.random.default_rng(args.seed + trial), args.rows, args.cols).channel(0)
             noisy = salt_pepper(clean, d, seed=args.seed + 1000 + trial)
             noisy_db.append(psnr(noisy, clean).psnr_db)
             median_db.append(psnr(median_filter(noisy, window), clean).psnr_db)

@@ -13,15 +13,12 @@ from .luma_equalize import (
     EnhanceDiagnostics,
     Histogram,
     LevelMap,
-    MassGrouping,
-    WeightVector,
     apply_map,
     color_histogram,
     cumulative,
     enhance,
     enhance_color,
     enhance_with_diagnostics,
-    group_mass,
     histogram,
     quantize_levels,
 )
@@ -57,13 +54,11 @@ from .pixel_core import (
     round_half_up,
 )
 from .quality_metrics import (
-    ImprovementRecord,
     MetricsReport,
     PsnrResult,
     export_histogram,
     improvement_pct,
     load_histogram,
-    mse_gray,
     psnr,
 )
 from .smoothing_filters import FilterWindow, hybrid_median_filter, median_filter

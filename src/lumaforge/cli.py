@@ -215,11 +215,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     reference = ingest_frames(args.reference_dir)
     pooled = sequence_psnr(result, reference)
     kind = "color" if "color" in (result.native_kind, reference.native_kind) else "gray"
-    dims = result.frames[0].dims
     report = MetricsReport(
         sample_name=cfg.sample_name or result.name,
-        n_frames=len(result.frames),
-        frame_dims=(dims.rows, dims.cols),
+        n_frames=len(result.paths),
+        frame_dims=(result.dims.rows, result.dims.cols),
         pipeline_config_digest=cfg.digest(),
         gray_psnr_db=pooled.psnr_db if kind == "gray" else None,
         color_psnr_db=pooled.psnr_db if kind == "color" else None,

@@ -4,9 +4,9 @@ The chain is: per-level occupancy histogram -> weighted running sum -> integer
 level map via round-half-up of the scaled distribution -> pixel remap. A
 constant additive per-level weight (sigma, default 0) can be folded into the
 running sum; with sigma = 0 this is exactly classic histogram equalization and
-the top occupied level always lands on 255. The grouping of input-level mass
-onto each output level is computed alongside as a diagnostic; it does not feed
-back into the remap.
+the top occupied level always lands on 255. enhance_with_diagnostics also
+returns the histogram, distribution and level map it went through; the
+pipeline writes the histogram out as the pre-enhancement CSV.
 """
 
 from __future__ import annotations
@@ -23,34 +23,18 @@ N_LEVELS = 256
 __all__ = [
     "N_LEVELS",
     "Histogram",
-    "WeightVector",
     "CumulativeDistribution",
     "LevelMap",
-    "MassGrouping",
     "EnhanceDiagnostics",
     "histogram",
     "color_histogram",
     "cumulative",
     "quantize_levels",
-    "group_mass",
     "apply_map",
     "enhance",
     "enhance_with_diagnostics",
     "enhance_color",
 ]
-
-
-def _validated_counts(counts, what: str) -> np.ndarray:
-    arr = np.asarray(counts)
-    if arr.shape != (N_LEVELS,):
-        raise ConfigurationError(f"{what} needs {N_LEVELS} per-level counts, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ConfigurationError(f"{what} counts must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0:
-        raise ConfigurationError(f"{what} counts must be nonnegative")
-    out = arr.astype(np.int64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 class Histogram:
@@ -59,17 +43,21 @@ class Histogram:
     __slots__ = ("_counts",)
 
     def __init__(self, counts):
-        self._counts = _validated_counts(counts, "Histogram")
-        if self._counts.sum() == 0:
+        arr = np.asarray(counts)
+        if arr.shape != (N_LEVELS,):
+            raise ConfigurationError(f"Histogram needs {N_LEVELS} per-level counts, got shape {arr.shape}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ConfigurationError(f"Histogram counts must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0:
+            raise ConfigurationError("Histogram counts must be nonnegative")
+        if arr.sum() == 0:
             raise ConfigurationError("Histogram must cover at least one sample")
+        self._counts = arr.astype(np.int64, copy=True)
+        self._counts.setflags(write=False)
 
     @property
     def counts(self) -> np.ndarray:
         return self._counts
-
-    @property
-    def levels(self) -> int:
-        return N_LEVELS
 
     @property
     def area(self) -> int:
@@ -95,21 +83,6 @@ def histogram(frame: PixelBuffer) -> Histogram:
 def color_histogram(frame: ColorBuffer) -> Histogram:
     """Occupancy pooled over all three channel planes."""
     return Histogram(np.bincount(frame.data.ravel(), minlength=N_LEVELS))
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Constant additive weight applied to every level before cumulation.
-
-    The default 0 leaves the running sum a plain cumulative histogram; nonzero
-    values are exposed for experimentation and suspend the unit-sum guarantees
-    on the distribution.
-    """
-
-    sigma: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.full(N_LEVELS, self.sigma, dtype=np.float64)
 
 
 class CumulativeDistribution:
@@ -140,17 +113,18 @@ class CumulativeDistribution:
         return f"CumulativeDistribution(top={self._values[-1]!r})"
 
 
-def cumulative(hist, weights: WeightVector | None = None) -> CumulativeDistribution:
-    """Running sum of mass[0..l] plus weight[0..l] for each level l.
+def cumulative(hist, sigma: float = 0.0) -> CumulativeDistribution:
+    """Running sum of mass[0..l] plus a constant weight sigma per level, for each level l.
 
     Accepts a Histogram or a raw length-256 mass vector (so purely synthetic
-    distributions can be cumulated too).
+    distributions can be cumulated too). The default sigma = 0 leaves a plain
+    cumulative histogram; nonzero values are exposed for experimentation and
+    suspend the unit-sum guarantees on the distribution.
     """
     mass = hist.mass if isinstance(hist, Histogram) else np.asarray(hist, dtype=np.float64)
     if mass.shape != (N_LEVELS,):
         raise ConfigurationError(f"expected {N_LEVELS} mass entries, got shape {mass.shape}")
-    w = (weights or WeightVector()).as_array()
-    return CumulativeDistribution(np.cumsum(mass + w))
+    return CumulativeDistribution(np.cumsum(mass + sigma))
 
 
 class LevelMap:
@@ -191,44 +165,6 @@ def quantize_levels(cdf: CumulativeDistribution) -> LevelMap:
     return LevelMap(np.clip(scaled, 0, N_LEVELS - 1).astype(np.int64))
 
 
-class MassGrouping:
-    """How much histogram mass each output level receives under a level map.
-
-    Diagnostic only: grouping never alters the remapped frame. Carries integer
-    counts like Histogram so it shares the same CSV serialization.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts):
-        self._counts = _validated_counts(counts, "MassGrouping")
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    @property
-    def mass(self) -> np.ndarray:
-        return self._counts / max(int(self._counts.sum()), 1)
-
-    @property
-    def group(self) -> np.ndarray:
-        """Per-output-level mass; conserves the input histogram's total of 1."""
-        return self.mass
-
-    def __eq__(self, other):
-        return isinstance(other, MassGrouping) and np.array_equal(self._counts, other._counts)
-
-    def __repr__(self):
-        return f"MassGrouping(occupied={int(np.count_nonzero(self._counts))})"
-
-
-def group_mass(hist: Histogram, level_map: LevelMap) -> MassGrouping:
-    """Sum the mass of all input levels that land on each output level."""
-    pooled = np.bincount(level_map.table, weights=hist.counts.astype(np.float64), minlength=N_LEVELS)
-    return MassGrouping(pooled.astype(np.int64))
-
-
 def apply_map(frame: PixelBuffer, level_map: LevelMap) -> PixelBuffer:
     """Remap every sample through the lookup table."""
     return PixelBuffer(level_map.table[frame.data])
@@ -241,16 +177,14 @@ class EnhanceDiagnostics:
     input_histogram: Histogram
     distribution: CumulativeDistribution
     level_map: LevelMap
-    grouping: MassGrouping
 
 
 def enhance_with_diagnostics(frame: PixelBuffer, sigma: float = 0.0) -> tuple[PixelBuffer, EnhanceDiagnostics]:
     """Equalize a grayscale frame and return the intermediates alongside."""
     hist = histogram(frame)
-    cdf = cumulative(hist, WeightVector(sigma))
+    cdf = cumulative(hist, sigma)
     level_map = quantize_levels(cdf)
-    diagnostics = EnhanceDiagnostics(hist, cdf, level_map, group_mass(hist, level_map))
-    return apply_map(frame, level_map), diagnostics
+    return apply_map(frame, level_map), EnhanceDiagnostics(hist, cdf, level_map)
 
 
 def enhance(frame: PixelBuffer, sigma: float = 0.0) -> PixelBuffer:

@@ -9,16 +9,18 @@ length.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IngestionError
-from .pixel_core import ColorBuffer, PixelBuffer
+from .pixel_core import ColorBuffer, Dimensions, PixelBuffer
 
-__all__ = ["encode_image", "decode_image", "write_image", "read_image"]
+__all__ = ["encode_image", "decode_image", "write_image", "read_image", "read_dims"]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_HEADER_PROBE_BYTES = 512
 
 
 def encode_image(frame) -> bytes:
@@ -70,16 +72,18 @@ class _HeaderScanner:
         except ValueError:
             self._fail(f"non-numeric {what}: {tok!r}")
 
-    def payload(self) -> bytes:
+    def payload_offset(self) -> int:
         # exactly one whitespace byte separates maxval from the raw samples
         if self.pos >= len(self.data) or self.data[self.pos:self.pos + 1] not in _WHITESPACE:
             self._fail("missing whitespace before sample data")
-        self.pos += 1
-        return self.data[self.pos:]
+        return self.pos + 1
 
 
-def decode_image(data: bytes, name: str = "<bytes>"):
-    """Parse binary PGM/PPM bytes into a PixelBuffer or ColorBuffer."""
+def _parse_header(data: bytes, name: str, size: int) -> tuple[int, Dimensions, int]:
+    """(channels, dims, payload offset) of the netpbm header that starts data.
+
+    size is the length of the whole file, which must end with the payload.
+    """
     scanner = _HeaderScanner(data, name)
     magic = scanner.token()
     if magic == b"P5":
@@ -95,16 +99,40 @@ def decode_image(data: bytes, name: str = "<bytes>"):
         raise IngestionError(f"{name}: invalid image size {cols}x{rows}")
     if maxval != 255:
         raise IngestionError(f"{name}: unsupported maxval {maxval} (need 255)")
-    payload = scanner.payload()
+    offset = scanner.payload_offset()
     expected = rows * cols * channels
-    if len(payload) != expected:
-        raise IngestionError(
-            f"{name}: expected {expected} sample bytes, got {len(payload)}"
-        )
-    samples = np.frombuffer(payload, dtype=np.uint8)
+    if size - offset != expected:
+        raise IngestionError(f"{name}: expected {expected} sample bytes, got {size - offset}")
+    return channels, Dimensions(rows, cols), offset
+
+
+def decode_image(data: bytes, name: str = "<bytes>"):
+    """Parse binary PGM/PPM bytes into a PixelBuffer or ColorBuffer."""
+    channels, dims, offset = _parse_header(data, name, len(data))
+    samples = np.frombuffer(data, dtype=np.uint8, offset=offset)
     if channels == 1:
-        return PixelBuffer(samples.reshape(rows, cols))
-    return ColorBuffer(samples.reshape(rows, cols, 3))
+        return PixelBuffer(samples.reshape(dims.rows, dims.cols))
+    return ColorBuffer(samples.reshape(dims.rows, dims.cols, 3))
+
+
+def read_dims(path) -> Dimensions:
+    """Check a PGM/PPM file's header and payload length without decoding it.
+
+    Reads the file only up to the end of its header; the payload length comes
+    from the file size. Raises the same IngestionError as read_image would.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as stream:
+            size = os.fstat(stream.fileno()).st_size
+            head = stream.read(_HEADER_PROBE_BYTES)
+            try:
+                return _parse_header(head, str(path), size)[1]
+            except IngestionError:
+                # the header may run past the probe (long comments): parse it all
+                return _parse_header(head + stream.read(), str(path), size)[1]
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read frame file: {exc}") from exc
 
 
 def write_image(frame, path) -> None:

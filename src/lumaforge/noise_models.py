@@ -11,6 +11,7 @@ clean value, never on its neighbors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,11 +19,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .pixel_core import PixelBuffer, round_half_up
-from .rng import site_normals, site_uniforms, site_uniforms_at
+from .rng import U64_MAX, site_normals, site_uniforms, site_uniforms_at
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
-
-_U64_MAX = (1 << 64) - 1
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "apply_noise", "salt_pepper", "gaussian", "poisson", "speckle"]
 
@@ -40,8 +39,10 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}"
             )
-        if not 0 <= self.seed <= _U64_MAX:
+        if not 0 <= self.seed <= U64_MAX:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not math.isfinite(self.d):
+            raise ConfigurationError(f"noise level d must be finite, got {self.d}")
         if self.kind == "salt_pepper" and not 0.0 <= self.d <= 1.0:
             raise ConfigurationError(f"salt_pepper density must lie in [0, 1], got {self.d}")
         if self.kind in ("gaussian", "speckle") and self.d < 0:

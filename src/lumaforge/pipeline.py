@@ -1,11 +1,15 @@
 """Batch orchestration over directories of numbered netpbm frames.
 
-A run ingests a frame sequence, optionally resizes, then takes the grayscale
-path (luminance extraction), the color path (per-channel processing), or both:
-optional noise injection, optional median/hybrid-median smoothing, brightness
-equalization, and pooled PSNR of the result against the clean pre-noise
-reference. Artifacts per run: one enhanced frame per input frame and path,
-pre/post-enhancement histogram CSVs, and a single metrics report JSON.
+A run checks the headers of a frame sequence, then a pool of workers decodes,
+processes and writes one frame at a time, so memory grows with the worker
+count and not with the sequence length. Each frame is optionally resized,
+then takes the grayscale path (luminance extraction), the color path
+(per-channel processing), or both: optional noise injection, optional
+median/hybrid-median smoothing, brightness equalization, and pooled PSNR of
+the result against the clean pre-noise reference. Artifacts per run: one
+enhanced frame per input frame and path, pre/post-enhancement histogram CSVs,
+and a single metrics report JSON. A single-stage run (run_stage) is the same
+frame loop with the other steps switched off and no PSNR or report.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -19,7 +23,7 @@ import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
@@ -29,8 +33,8 @@ from .luma_equalize import (
     enhance_with_diagnostics,
     histogram,
 )
-from .netpbm import read_image, write_image
-from .noise_models import NOISE_KINDS, NoiseSpec, apply_noise
+from .netpbm import read_dims, read_image, write_image
+from .noise_models import NoiseSpec, apply_noise
 from .pixel_core import (
     BT601_WEIGHTS,
     ColorBuffer,
@@ -47,7 +51,7 @@ from .quality_metrics import (
     improvement_pct,
     squared_error_total,
 )
-from .rng import derive_seed
+from .rng import U64_MAX, derive_seed
 from .smoothing_filters import FilterWindow, hybrid_median_filter, median_filter
 
 FILTER_KINDS = ("median", "hybrid_median")
@@ -55,8 +59,6 @@ MODES = ("gray", "color", "both")
 PSNR_REFERENCES = ("clean", "noisy")
 
 DEFAULT_RESIZE = Dimensions(rows=144, cols=176)
-
-_U64_MAX = (1 << 64) - 1
 
 # <stem>_<zero-padded index>.<pgm|ppm>; ordering is by parsed index
 _FRAME_FILE_RE = re.compile(r"^(?P<stem>.+)_(?P<index>\d+)\.(?P<ext>pgm|ppm)$")
@@ -90,12 +92,6 @@ class FilterSpec:
             )
 
 
-def _apply_filter(frame: PixelBuffer, spec: FilterSpec) -> PixelBuffer:
-    if spec.kind == "median":
-        return median_filter(frame, spec.window)
-    return hybrid_median_filter(frame, spec.window)
-
-
 @dataclass
 class PipelineConfig:
     """Everything a run needs; serializable to/from a single JSON document.
@@ -127,8 +123,10 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"psnr_reference must be one of {PSNR_REFERENCES}, got {self.psnr_reference!r}"
             )
-        if not 0 <= self.seed <= _U64_MAX:
+        if not 0 <= self.seed <= U64_MAX:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not math.isfinite(self.sigma):
+            raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
 
     def to_mapping(self) -> dict:
         """Canonical dict of every config field, defaults resolved."""
@@ -174,9 +172,7 @@ class PipelineConfig:
         for required in ("input_dir", "output_dir"):
             if required not in data:
                 raise ConfigurationError(f"config is missing required field {required!r}")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+        seed = _typed(data.get("seed", 0), int, "seed", "an integer")
         kwargs: dict = {
             "input_dir": Path(data["input_dir"]),
             "output_dir": Path(data["output_dir"]),
@@ -190,72 +186,67 @@ class PipelineConfig:
             kwargs["noise"] = _parse_noise(data["noise"], default_seed=seed)
         if "filter" in data and data["filter"] is not None:
             kwargs["filter"] = _parse_filter(data["filter"])
-        for key in ("sigma", "mode", "psnr_reference", "sample_name", "size_label"):
+        if "sigma" in data and data["sigma"] is not None:
+            kwargs["sigma"] = _typed(data["sigma"], (int, float), "sigma", "a number")
+        for key in ("mode", "psnr_reference", "sample_name", "size_label"):
             if key in data and data[key] is not None:
-                kwargs[key] = data[key]
+                kwargs[key] = _typed(data[key], str, key, "a string")
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError(f"{path}: cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"{path}: config must be a JSON object")
-        return cls.from_mapping(data)
+
+def _typed(value, types, what: str, expected: str):
+    # type only (a bool is no number): the config dataclasses check the
+    # values themselves, finiteness included
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
+    return value
 
 
 def _parse_dims(value, what: str, optional: bool = False) -> Dimensions | None:
     if value is None and optional:
         return None
     if isinstance(value, dict):
-        extra = set(value) - {"rows", "cols"}
-        if extra or set(value) != {"rows", "cols"}:
+        if set(value) != {"rows", "cols"}:
             raise ConfigurationError(f"{what} needs exactly rows and cols, got {value!r}")
-        return Dimensions(int(value["rows"]), int(value["cols"]))
+        value = [value["rows"], value["cols"]]
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Dimensions(int(value[0]), int(value[1]))
+        return Dimensions(*(_typed(n, int, what, "a pair of integers") for n in value))
     raise ConfigurationError(f"{what} must be null, [rows, cols], or {{rows, cols}}, got {value!r}")
 
 
 def _parse_weights(value) -> LumaWeights:
     if isinstance(value, dict):
         try:
-            return LumaWeights(float(value["red"]), float(value["green"]), float(value["blue"]))
+            value = [value["red"], value["green"], value["blue"]]
         except KeyError as exc:
             raise ConfigurationError(f"luma_weights needs red/green/blue, got {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 3:
-        return LumaWeights(float(value[0]), float(value[1]), float(value[2]))
+        return LumaWeights(*(float(_typed(w, (int, float), "luma_weights", "three numbers")) for w in value))
     raise ConfigurationError(f"luma_weights must be [red, green, blue], got {value!r}")
 
 
-def _parse_noise(value, default_seed: int) -> NoiseSpec:
+def _check_spec(value, what: str, fields: set[str]) -> None:
+    """A noise or filter spec is an object with a kind and no unknown fields."""
     if not isinstance(value, dict):
-        raise ConfigurationError(f"noise must be an object, got {value!r}")
-    extra = set(value) - {"kind", "d", "seed"}
+        raise ConfigurationError(f"{what} must be an object, got {value!r}")
+    extra = set(value) - fields
     if extra:
-        raise ConfigurationError(f"unknown noise fields: {sorted(extra)}")
+        raise ConfigurationError(f"unknown {what} fields: {sorted(extra)}")
     if "kind" not in value:
-        raise ConfigurationError("noise needs a kind")
+        raise ConfigurationError(f"{what} needs a kind")
+
+
+def _parse_noise(value, default_seed: int) -> NoiseSpec:
+    _check_spec(value, "noise", {"kind", "d", "seed"})
     return NoiseSpec(
         kind=value["kind"],
-        d=float(value.get("d", 0.0)),
-        seed=int(value.get("seed", default_seed)),
+        d=float(_typed(value.get("d", 0.0), (int, float), "noise d", "a number")),
+        seed=_typed(value.get("seed", default_seed), int, "noise seed", "an integer"),
     )
 
 
 def _parse_filter(value) -> FilterSpec:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"filter must be an object, got {value!r}")
-    extra = set(value) - {"kind", "window"}
-    if extra:
-        raise ConfigurationError(f"unknown filter fields: {sorted(extra)}")
-    if "kind" not in value:
-        raise ConfigurationError("filter needs a kind")
+    _check_spec(value, "filter", {"kind", "window"})
     window = FilterWindow(3, 3)
     if "window" in value and value["window"] is not None:
         dims = _parse_dims(value["window"], "filter window")
@@ -263,23 +254,36 @@ def _parse_filter(value) -> FilterSpec:
     return FilterSpec(kind=value["kind"], window=window)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSequence:
-    """An ordered, uniformly-sized frame stack loaded from one directory.
+    """An ordered, uniformly-sized frame sequence in one directory.
 
-    Grayscale sources are promoted to color with R = G = B (lossless: the
-    luminance of a promoted frame is the original plane). native_kind records
-    whether any source file was true color.
+    Ingestion keeps only the file paths and the shared dims; load(index)
+    decodes one frame. Grayscale sources are promoted to color with
+    R = G = B (lossless: the luminance of a promoted frame is the original
+    plane). native_kind records whether any source file was a .ppm.
     """
 
     name: str
-    frames: list[ColorBuffer]
-    source_manifest: list[tuple[int, str]] = field(default_factory=list)
+    paths: list[Path]
+    dims: Dimensions
     native_kind: str = "color"
+
+    def load(self, index: int) -> ColorBuffer:
+        image = read_image(self.paths[index])
+        if image.dims != self.dims:
+            raise IngestionError(f"{self.paths[index].name}: frame dims changed since ingestion")
+        if isinstance(image, PixelBuffer):
+            image = ColorBuffer.from_planes(image, image, image)
+        return image
 
 
 def ingest_frames(directory) -> FrameSequence:
-    """Load `<stem>_<index>.pgm|ppm` files in ascending numeric index order."""
+    """Check `<stem>_<index>.pgm|ppm` files in ascending numeric index order.
+
+    Names, order, netpbm headers, payload lengths and dims are all checked
+    here, from each file's header and size; no frame is decoded.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise IngestionError(f"input directory not found: {directory}")
@@ -301,39 +305,17 @@ def ingest_frames(directory) -> FrameSequence:
         dup = next(i for n, i in enumerate(indices[1:], 1) if i == indices[n - 1])
         raise IngestionError(f"duplicate frame index {dup} in {directory}")
 
-    frames: list[ColorBuffer] = []
-    manifest: list[tuple[int, str]] = []
-    native_kind = "color" if any(ext == "ppm" for _, _, ext, _ in entries) else "gray"
-    first_dims: Dimensions | None = None
-    for seq_index, (_, _, _, path) in enumerate(entries):
-        image = read_image(path)
-        if isinstance(image, PixelBuffer):
-            image = ColorBuffer.from_planes(image, image, image)
-        if first_dims is None:
-            first_dims = image.dims
-        elif image.dims != first_dims:
+    paths = [path for _, _, _, path in entries]
+    dims = read_dims(paths[0])
+    for path in paths[1:]:
+        frame_dims = read_dims(path)
+        if frame_dims != dims:
             raise IngestionError(
-                f"{path.name}: frame dims {image.dims.rows}x{image.dims.cols} do not match "
-                f"sequence dims {first_dims.rows}x{first_dims.cols}"
+                f"{path.name}: frame dims {frame_dims.rows}x{frame_dims.cols} do not match "
+                f"sequence dims {dims.rows}x{dims.cols}"
             )
-        frames.append(image)
-        manifest.append((seq_index, path.name))
-    return FrameSequence(
-        name=stems.pop(), frames=frames, source_manifest=manifest, native_kind=native_kind
-    )
-
-
-@dataclass
-class _FrameOutcome:
-    gray_sse: int = 0
-    gray_samples: int = 0
-    color_sse: int = 0
-    color_samples: int = 0
-
-
-def _frame_noise(spec: NoiseSpec, frame_index: int, slot: int) -> NoiseSpec:
-    # slot 0 = grayscale plane, 1..3 = R, G, B channels
-    return replace(spec, seed=derive_seed(spec.seed, frame_index, slot))
+    native_kind = "color" if any(ext == "ppm" for _, _, ext, _ in entries) else "gray"
+    return FrameSequence(name=stems.pop(), paths=paths, dims=dims, native_kind=native_kind)
 
 
 class _ArtifactWriter:
@@ -344,88 +326,132 @@ class _ArtifactWriter:
         self._written: list[Path] = []
         self._lock = threading.Lock()
 
-    def _record(self, path: Path) -> Path:
+    def write(self, save, artifact, name: str) -> Path:
+        """save(artifact, path) to out_dir/name, recording the path first."""
+        path = self.out_dir / name
         with self._lock:
             self._written.append(path)
+        save(artifact, path)
         return path
-
-    def frame(self, image, name: str) -> Path:
-        path = self._record(self.out_dir / name)
-        write_image(image, path)
-        return path
-
-    def histogram_csv(self, hist, name: str) -> Path:
-        path = self._record(self.out_dir / name)
-        export_histogram(hist, path)
-        return path
-
-    def report(self, report: MetricsReport) -> Path:
-        path = self._record(self.out_dir / "report.json")
-        report.save(path)
-        return path
-
-    def paths(self) -> list[Path]:
-        with self._lock:
-            return list(self._written)
 
     def remove_all(self) -> None:
-        for path in self.paths():
+        with self._lock:
+            written = list(self._written)
+        for path in written:
             path.unlink(missing_ok=True)
 
 
-def _gray_stage(cfg: PipelineConfig, frame: ColorBuffer, index: int):
-    """Grayscale path for one frame: luma -> noise -> filter -> enhance."""
+def _noise_and_filter(cfg: PipelineConfig, plane: PixelBuffer, index: int, slot: int):
+    """(noisy, smoothed) for one plane; either step is skipped when cfg has none."""
+    noisy = plane
+    if cfg.noise:
+        # slot 0 = grayscale plane, 1..3 = R, G, B channels
+        noisy = apply_noise(plane, replace(cfg.noise, seed=derive_seed(cfg.noise.seed, index, slot)))
+    if not cfg.filter:
+        return noisy, noisy
+    smooth = median_filter if cfg.filter.kind == "median" else hybrid_median_filter
+    return noisy, smooth(noisy, cfg.filter.window)
+
+
+def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):
+    """Luma, noise, filter, then equalization when `enhance` is set.
+
+    Returns (output plane, its pre/post histograms or none, PSNR reference).
+    """
     clean = rgb_to_luma(frame, cfg.luma_weights)
-    noisy = apply_noise(clean, _frame_noise(cfg.noise, index, 0)) if cfg.noise else clean
-    smoothed = _apply_filter(noisy, cfg.filter) if cfg.filter else noisy
-    enhanced, diagnostics = enhance_with_diagnostics(smoothed, cfg.sigma)
+    noisy, out = _noise_and_filter(cfg, clean, index, 0)
     reference = noisy if cfg.psnr_reference == "noisy" else clean
-    return enhanced, diagnostics.input_histogram, reference
+    if not enhance:
+        return out, (), reference
+    enhanced, diagnostics = enhance_with_diagnostics(out, cfg.sigma)
+    return enhanced, (diagnostics.input_histogram, histogram(enhanced)), reference
 
 
-def _color_stage(cfg: PipelineConfig, frame: ColorBuffer, index: int):
-    """Color path for one frame: per-channel noise/filter, then equalization."""
-    clean = frame
-    processed = []
-    for slot, plane in enumerate(clean.planes(), start=1):
-        if cfg.noise:
-            plane = apply_noise(plane, _frame_noise(cfg.noise, index, slot))
-        if cfg.filter:
-            plane = _apply_filter(plane, cfg.filter)
-        processed.append(plane)
-    prepared = ColorBuffer.from_planes(*processed)
-    enhanced = enhance_color(prepared, cfg.sigma)
-    reference = prepared if cfg.psnr_reference == "noisy" else clean
-    return enhanced, color_histogram(prepared), reference
+def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):
+    """Per-channel noise and filter, then equalization; returns as _gray_path."""
+    out = frame
+    if cfg.noise or cfg.filter:
+        planes = [
+            _noise_and_filter(cfg, plane, index, slot)[1]
+            for slot, plane in enumerate(frame.planes(), start=1)
+        ]
+        out = ColorBuffer.from_planes(*planes)
+    reference = out if cfg.psnr_reference == "noisy" else frame
+    if not enhance:
+        return out, (), reference
+    enhanced = enhance_color(out, cfg.sigma)
+    return enhanced, (color_histogram(out), color_histogram(enhanced)), reference
 
 
-def _process_frame(
+# path kind -> (per-frame step, frame file extension)
+_PATHS = {"gray": (_gray_path, "pgm"), "color": (_color_path, "ppm")}
+
+
+def _run_frames(
     cfg: PipelineConfig,
-    writer: _ArtifactWriter,
-    name: str,
-    pad: int,
-    index: int,
-    frame: ColorBuffer,
-) -> _FrameOutcome:
-    if cfg.resize_to is not None:
-        frame = resize_nearest(frame, cfg.resize_to)
-    outcome = _FrameOutcome()
-    tag = f"{index:0{pad}d}"
-    if cfg.mode in ("gray", "both"):
-        enhanced, pre_hist, reference = _gray_stage(cfg, frame, index)
-        writer.frame(enhanced, f"{name}_enhanced_{tag}.pgm")
-        writer.histogram_csv(pre_hist, f"{name}_gray_hist_pre_{tag}.csv")
-        writer.histogram_csv(histogram(enhanced), f"{name}_gray_hist_post_{tag}.csv")
-        outcome.gray_sse = squared_error_total(enhanced, reference)
-        outcome.gray_samples = enhanced.data.size
-    if cfg.mode in ("color", "both"):
-        enhanced, pre_hist, reference = _color_stage(cfg, frame, index)
-        writer.frame(enhanced, f"{name}_enhanced_{tag}.ppm")
-        writer.histogram_csv(pre_hist, f"{name}_color_hist_pre_{tag}.csv")
-        writer.histogram_csv(color_histogram(enhanced), f"{name}_color_hist_post_{tag}.csv")
-        outcome.color_sse = squared_error_total(enhanced, reference)
-        outcome.color_samples = enhanced.data.size
-    return outcome
+    jobs: int,
+    *,
+    native: bool = False,
+    enhance: bool = True,
+    score: bool = False,
+    infix: str = "enhanced",
+):
+    """The one frame loop: ingest, then `jobs` workers decode, process and write each frame.
+
+    Frames take the paths of cfg.mode, or of the sequence's native kind when
+    `native` is set. Returns the sequence and, per frame in index order, one
+    (kind, frame path, squared error vs the PSNR reference, or 0 unless
+    `score`) per path taken.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    sequence = ingest_frames(cfg.input_dir)
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    writer = _ArtifactWriter(out_dir)
+    name = cfg.sample_name or sequence.name
+    pad = max(3, len(str(len(sequence.paths) - 1)))
+    mode = sequence.native_kind if native else cfg.mode
+    kinds = [kind for kind in _PATHS if mode in (kind, "both")]
+
+    def work(index: int):
+        try:
+            frame = sequence.load(index)
+            if cfg.resize_to is not None:
+                frame = resize_nearest(frame, cfg.resize_to)
+            tag = f"{index:0{pad}d}"
+            outputs = []
+            for kind in kinds:
+                step, ext = _PATHS[kind]
+                out, hists, reference = step(cfg, frame, index, enhance)
+                for when, hist in zip(("pre", "post"), hists):
+                    writer.write(export_histogram, hist, f"{name}_{kind}_hist_{when}_{tag}.csv")
+                path = writer.write(write_image, out, f"{name}_{infix}_{tag}.{ext}")
+                outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
+            return outputs
+        except Exception as exc:
+            raise PipelineStageError(f"frame {index}: {exc}") from exc
+
+    indices = range(len(sequence.paths))
+    try:
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                frames = list(pool.map(work, indices))
+        else:
+            frames = [work(index) for index in indices]
+    except PipelineStageError:
+        writer.remove_all()
+        raise
+    return sequence, frames
+
+
+def _improvement(gray_db: float | None, color_db: float | None) -> float | None:
+    """improvement_pct of a PSNR pair, or None unless both are finite and color is nonzero."""
+    if gray_db is None or color_db is None:
+        return None
+    if not (math.isfinite(gray_db) and math.isfinite(color_db)) or color_db == 0:
+        return None
+    return improvement_pct(gray_db, color_db)
 
 
 def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
@@ -436,68 +462,30 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     output byte) is identical for any worker count. Any stage failure removes
     the partial outputs and raises PipelineStageError with the frame index.
     """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-    sequence = ingest_frames(cfg.input_dir)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _ArtifactWriter(out_dir)
-    name = cfg.sample_name or sequence.name
-    pad = max(3, len(str(len(sequence.frames) - 1)))
+    sequence, frames = _run_frames(cfg, jobs, score=True)
+    dims = cfg.resize_to if cfg.resize_to is not None else sequence.dims
 
-    def work(item):
-        index, frame = item
-        try:
-            return _process_frame(cfg, writer, name, pad, index, frame)
-        except Exception as exc:
-            raise PipelineStageError(f"frame {index}: {exc}") from exc
+    def pooled_psnr(kind: str) -> float | None:
+        sse = [frame_sse for outputs in frames for k, _, frame_sse in outputs if k == kind]
+        samples = len(sse) * dims.area * (1 if kind == "gray" else 3)
+        return PsnrResult.from_mse(sum(sse) / samples).psnr_db if sse else None
 
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(work, enumerate(sequence.frames)))
-        else:
-            outcomes = [work(item) for item in enumerate(sequence.frames)]
-    except PipelineStageError:
-        writer.remove_all()
-        raise
-
-    gray_psnr = color_psnr = None
-    if cfg.mode in ("gray", "both"):
-        sse = sum(o.gray_sse for o in outcomes)
-        n = sum(o.gray_samples for o in outcomes)
-        gray_psnr = PsnrResult.from_mse(sse / n).psnr_db
-    if cfg.mode in ("color", "both"):
-        sse = sum(o.color_sse for o in outcomes)
-        n = sum(o.color_samples for o in outcomes)
-        color_psnr = PsnrResult.from_mse(sse / n).psnr_db
-
-    improvement = None
-    if (
-        gray_psnr is not None
-        and color_psnr is not None
-        and math.isfinite(gray_psnr)
-        and math.isfinite(color_psnr)
-        and color_psnr != 0
-    ):
-        improvement = improvement_pct(gray_psnr, color_psnr)
-
-    dims = cfg.resize_to if cfg.resize_to is not None else sequence.frames[0].dims
+    gray_psnr, color_psnr = pooled_psnr("gray"), pooled_psnr("color")
     report = MetricsReport(
-        sample_name=name,
-        n_frames=len(sequence.frames),
+        sample_name=cfg.sample_name or sequence.name,
+        n_frames=len(frames),
         frame_dims=(dims.rows, dims.cols),
         pipeline_config_digest=cfg.digest(),
         gray_psnr_db=gray_psnr,
         color_psnr_db=color_psnr,
-        improvement_pct=improvement,
+        improvement_pct=_improvement(gray_psnr, color_psnr),
         size_label=cfg.size_label,
     )
-    writer.report(report)
+    report.save(Path(cfg.output_dir) / "report.json")
     return report
 
 
-_STAGE_SUFFIX = {"luma": "luma", "noise": "noisy", "filter": "filtered", "enhance": "enhanced"}
+_STAGE_INFIX = {"luma": "luma", "noise": "noisy", "filter": "filtered", "enhance": "enhanced"}
 
 
 def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
@@ -508,82 +496,37 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
     grayscale. `enhance` additionally writes pre/post histogram CSVs. Returns
     the written frame paths in index order.
     """
-    if stage not in _STAGE_SUFFIX:
-        raise ConfigurationError(f"unknown stage {stage!r}; expected one of {sorted(_STAGE_SUFFIX)}")
+    if stage not in _STAGE_INFIX:
+        raise ConfigurationError(f"unknown stage {stage!r}; expected one of {sorted(_STAGE_INFIX)}")
     if stage == "noise" and cfg.noise is None:
         raise ConfigurationError("the noise stage needs a noise spec in the config")
     if stage == "filter" and cfg.filter is None:
         raise ConfigurationError("the filter stage needs a filter spec in the config")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-
-    sequence = ingest_frames(cfg.input_dir)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _ArtifactWriter(out_dir)
-    name = cfg.sample_name or sequence.name
-    pad = max(3, len(str(len(sequence.frames) - 1)))
-    suffix = _STAGE_SUFFIX[stage]
-    gray_kind = stage == "luma" or sequence.native_kind == "gray"
-
-    def transform_plane(plane: PixelBuffer, index: int, slot: int) -> PixelBuffer:
-        if stage == "noise":
-            return apply_noise(plane, _frame_noise(cfg.noise, index, slot))
-        if stage == "filter":
-            return _apply_filter(plane, cfg.filter)
-        return plane
-
-    def work(item) -> Path:
-        index, frame = item
-        try:
-            if cfg.resize_to is not None:
-                frame = resize_nearest(frame, cfg.resize_to)
-            tag = f"{index:0{pad}d}"
-            if gray_kind:
-                plane = rgb_to_luma(frame, cfg.luma_weights)
-                if stage == "enhance":
-                    out, diagnostics = enhance_with_diagnostics(plane, cfg.sigma)
-                    writer.histogram_csv(diagnostics.input_histogram, f"{name}_gray_hist_pre_{tag}.csv")
-                    writer.histogram_csv(histogram(out), f"{name}_gray_hist_post_{tag}.csv")
-                else:
-                    out = transform_plane(plane, index, 0)
-                return writer.frame(out, f"{name}_{suffix}_{tag}.pgm")
-            if stage == "enhance":
-                out = enhance_color(frame, cfg.sigma)
-                writer.histogram_csv(color_histogram(frame), f"{name}_color_hist_pre_{tag}.csv")
-                writer.histogram_csv(color_histogram(out), f"{name}_color_hist_post_{tag}.csv")
-            else:
-                planes = [
-                    transform_plane(plane, index, slot)
-                    for slot, plane in enumerate(frame.planes(), start=1)
-                ]
-                out = ColorBuffer.from_planes(*planes)
-            return writer.frame(out, f"{name}_{suffix}_{tag}.ppm")
-        except PipelineStageError:
-            raise
-        except Exception as exc:
-            raise PipelineStageError(f"frame {index}: {exc}") from exc
-
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(work, enumerate(sequence.frames)))
-        return [work(item) for item in enumerate(sequence.frames)]
-    except PipelineStageError:
-        writer.remove_all()
-        raise
+    # luma is the gray path with every step off; the other stages keep only
+    # their own step and follow the sequence's native kind
+    steps = replace(
+        cfg,
+        mode="gray",
+        noise=cfg.noise if stage == "noise" else None,
+        filter=cfg.filter if stage == "filter" else None,
+    )
+    _, frames = _run_frames(
+        steps, jobs, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
+    )
+    return [path for outputs in frames for _, path, _ in outputs]
 
 
 def sequence_psnr(result: FrameSequence, reference: FrameSequence) -> PsnrResult:
-    """Pooled PSNR of one sequence against a same-shaped reference sequence."""
-    if len(result.frames) != len(reference.frames):
+    """Pooled PSNR of one sequence against a same-shaped reference, one frame pair at a time."""
+    if len(result.paths) != len(reference.paths):
         raise ConfigurationError(
-            f"sequence length mismatch: {len(result.frames)} vs {len(reference.frames)}"
+            f"sequence length mismatch: {len(result.paths)} vs {len(reference.paths)}"
         )
     sse = 0
     samples = 0
-    for ours, theirs in zip(result.frames, reference.frames):
-        sse += squared_error_total(ours, theirs)
+    for index in range(len(result.paths)):
+        ours = result.load(index)
+        sse += squared_error_total(ours, reference.load(index))
         samples += ours.data.size
     return PsnrResult.from_mse(sse / samples)
 
@@ -607,15 +550,9 @@ def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
     header = ["sample", "size", "frames", "gray_psnr_db", "color_psnr_db", "improvement_pct"]
     rows = [header]
     for report in reports:
-        improvement = report.improvement_pct
-        if (
-            report.gray_psnr_db is not None
-            and report.color_psnr_db is not None
-            and math.isfinite(report.gray_psnr_db)
-            and math.isfinite(report.color_psnr_db)
-            and report.color_psnr_db != 0
-        ):
-            improvement = improvement_pct(report.gray_psnr_db, report.color_psnr_db)
+        improvement = _improvement(report.gray_psnr_db, report.color_psnr_db)
+        if improvement is None:
+            improvement = report.improvement_pct
         rows.append(
             [
                 report.sample_name,

@@ -8,6 +8,7 @@ from any number of concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,8 @@ class LumaWeights:
 
     def __post_init__(self):
         for name, w in (("red", self.red), ("green", self.green), ("blue", self.blue)):
-            if w < 0:
-                raise ConfigurationError(f"{name} weight must be nonnegative, got {w}")
+            if not math.isfinite(w) or w < 0:
+                raise ConfigurationError(f"{name} weight must be finite and nonnegative, got {w}")
         total = self.red + self.green + self.blue
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"luma weights must sum to 1, got {total!r}")
@@ -200,8 +201,11 @@ def resize_nearest(frame, target: Dimensions):
 
     Output site (r, c) copies source site (r*rows_src // rows_dst,
     c*cols_src // cols_dst). Resizing to the source dims is exactly the
-    identity; works on PixelBuffer and ColorBuffer alike.
+    identity and returns the (immutable) input itself; works on PixelBuffer
+    and ColorBuffer alike.
     """
+    if frame.dims == target:
+        return frame
     src = frame.data
     rows_src, cols_src = src.shape[0], src.shape[1]
     row_idx = (np.arange(target.rows) * rows_src) // target.rows

@@ -25,10 +25,8 @@ PEAK_VALUE = 255
 __all__ = [
     "PEAK_VALUE",
     "PsnrResult",
-    "ImprovementRecord",
     "MetricsReport",
     "squared_error_total",
-    "mse_gray",
     "psnr",
     "improvement_pct",
     "export_histogram",
@@ -72,13 +70,6 @@ def squared_error_total(a, b) -> int:
     return int(np.sum(diff * diff))
 
 
-def mse_gray(a: PixelBuffer, b: PixelBuffer) -> float:
-    """Mean over pixels of the squared intensity difference."""
-    if not isinstance(a, PixelBuffer) or not isinstance(b, PixelBuffer):
-        raise ConfigurationError("mse_gray expects two grayscale buffers")
-    return squared_error_total(a, b) / a.dims.area
-
-
 def psnr(a, b) -> PsnrResult:
     """PSNR between two frames of the same kind and dimensions.
 
@@ -100,26 +91,8 @@ def improvement_pct(gray_db: float, color_db: float) -> float:
     return (color_db - gray_db) / color_db * 100.0
 
 
-@dataclass(frozen=True)
-class ImprovementRecord:
-    """One sample's gray/color PSNR pair with its improvement percentage."""
-
-    sample_name: str
-    gray_psnr_db: float
-    color_psnr_db: float
-    improvement_pct: float
-
-    @classmethod
-    def from_pair(cls, sample_name: str, gray_db: float, color_db: float) -> "ImprovementRecord":
-        return cls(sample_name, gray_db, color_db, improvement_pct(gray_db, color_db))
-
-
 def export_histogram(hist, path) -> None:
-    """Write one `level,count,probability` row per intensity level.
-
-    Accepts a Histogram or a MassGrouping, anything carrying integer
-    per-level counts with a normalized mass view.
-    """
+    """Write one `level,count,probability` row per intensity level of a Histogram."""
     counts = hist.counts
     mass = hist.mass
     lines = ["level,count,probability"]

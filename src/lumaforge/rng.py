@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+U64_MAX = (1 << 64) - 1  # largest seed, and the mask for arithmetic mod 2**64
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-__all__ = ["mix64", "derive_seed", "site_uniforms", "site_uniforms_at", "site_normals"]
+__all__ = ["U64_MAX", "mix64", "derive_seed", "site_uniforms", "site_uniforms_at", "site_normals"]
 
 
 def mix64(value: int) -> int:
     """splitmix64 finalizer on a python int, modulo 2**64."""
-    z = value & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    z = value & U64_MAX
+    z = ((z ^ (z >> 30)) * _MIX_A) & U64_MAX
+    z = ((z ^ (z >> 27)) * _MIX_B) & U64_MAX
     return z ^ (z >> 31)
 
 
@@ -42,9 +42,9 @@ def derive_seed(seed: int, *stream_ids: int) -> int:
     One splitmix step per id; the result is again a 64-bit seed, so derived
     streams can be derived from further.
     """
-    s = seed & _MASK64
+    s = seed & U64_MAX
     for sid in stream_ids:
-        s = mix64((s + (sid + 1) * _GOLDEN) & _MASK64)
+        s = mix64((s + (sid + 1) * _GOLDEN) & U64_MAX)
     return s
 
 
@@ -53,7 +53,7 @@ def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
 
     Values lie strictly inside (0, 1) so downstream logs stay finite.
     """
-    base = mix64((seed + (draw + 1) * _GOLDEN) & _MASK64)
+    base = mix64((seed + (draw + 1) * _GOLDEN) & U64_MAX)
     idx = np.asarray(sites, dtype=np.uint64) + np.uint64(1)
     h = _mix64_array(np.uint64(base) + idx * np.uint64(_GOLDEN))
     bits = (h >> np.uint64(11)).astype(np.float64)  # top 53 bits

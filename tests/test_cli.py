@@ -262,3 +262,65 @@ class TestSeedValidation:
             "--output-dir", str(tmp_path / "out"),
         ])
         assert code == 1
+
+
+class TestConfigValidation:
+    """Non-finite and mistyped config values exit 1 with one `error:` line."""
+
+    def assert_config_error(self, argv, tmp_path, capsys):
+        assert main(argv) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def run_args(self, sequence_dir, tmp_path, *extra):
+        return [
+            "run",
+            "--input-dir", str(sequence_dir),
+            "--output-dir", str(tmp_path / "out"),
+            "--resize", "none",
+            *extra,
+        ]
+
+    def run_config(self, sequence_dir, tmp_path, **fields):
+        config = {"input_dir": str(sequence_dir), "output_dir": str(tmp_path / "out"), **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return ["run", "--config", str(path)]
+
+    def test_nan_gaussian_level(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_args(sequence_dir, tmp_path, "--noise-kind", "gaussian", "--noise-d", "nan")
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_infinite_speckle_level(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_args(sequence_dir, tmp_path, "--noise-kind", "speckle", "--noise-d", "inf")
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_nan_luma_weight(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_args(sequence_dir, tmp_path, "--luma-weights", "nan,0.5,0.5")
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_nan_sigma(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_args(sequence_dir, tmp_path, "--sigma", "nan")
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_string_noise_level(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, noise={"kind": "gaussian", "d": "abc"})
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_string_resize_rows(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, resize_to={"rows": "x", "cols": 3})
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_string_sigma(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, sigma="0.5")
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_non_string_sample_name(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, sample_name=5)
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_config_bad_json_is_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        self.assert_config_error(["run", "--config", str(path)], tmp_path, capsys)

@@ -13,14 +13,12 @@ from lumaforge import (
     Histogram,
     LevelMap,
     PixelBuffer,
-    WeightVector,
     apply_map,
     color_histogram,
     cumulative,
     enhance,
     enhance_color,
     enhance_with_diagnostics,
-    group_mass,
     histogram,
     quantize_levels,
 )
@@ -75,7 +73,7 @@ class TestCumulative:
         assert np.all(cdf[:100] == 0.0) and np.all(cdf[100:] == 1.0)
 
     def test_weight_term_accumulates(self):
-        cdf = cumulative(np.zeros(256), WeightVector(1.0 / 256.0)).values
+        cdf = cumulative(np.zeros(256), 1.0 / 256.0).values
         assert np.allclose(cdf, (np.arange(256) + 1) / 256.0)
 
     @given(frames)
@@ -99,7 +97,7 @@ class TestQuantizeLevels:
 
     def test_clamps_overshoot(self):
         # nonzero weight pushes the running sum past 1; the map must stay 8-bit
-        cdf = cumulative(histogram(quad_frame()), WeightVector(0.01))
+        cdf = cumulative(histogram(quad_frame()), 0.01)
         table = quantize_levels(cdf).table
         assert table.max() == 255
 
@@ -108,26 +106,6 @@ class TestQuantizeLevels:
         table = quantize_levels(cumulative(histogram(PixelBuffer(arr)))).table
         assert np.all(np.diff(table.astype(np.int64)) >= 0)
         assert table[255] == 255
-
-
-class TestGroupMass:
-    def test_quad_frame_grouping(self):
-        hist = histogram(quad_frame())
-        grouping = group_mass(hist, quantize_levels(cumulative(hist)))
-        assert grouping.group[128] == 0.5
-        assert grouping.group[191] == 0.25
-        assert grouping.group[255] == 0.25
-
-    def test_constant_frame_groups_to_top(self):
-        hist = histogram(PixelBuffer.full(Dimensions(2, 2), 17))
-        grouping = group_mass(hist, quantize_levels(cumulative(hist)))
-        assert grouping.group[255] == 1.0
-
-    @given(frames)
-    def test_mass_is_conserved(self, arr):
-        hist = histogram(PixelBuffer(arr))
-        grouping = group_mass(hist, quantize_levels(cumulative(hist)))
-        assert abs(grouping.group.sum() - 1.0) <= 1e-9
 
 
 class TestApplyMap:
@@ -188,7 +166,6 @@ class TestEnhance:
         _, diag = enhance_with_diagnostics(quad_frame())
         assert diag.input_histogram == histogram(quad_frame())
         assert diag.level_map.table[255] == 255
-        assert abs(diag.grouping.group.sum() - 1.0) <= 1e-9
 
 
 class TestEnhanceColor:

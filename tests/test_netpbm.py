@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as npst
 
 from lumaforge import (
     ColorBuffer,
+    Dimensions,
     IngestionError,
     PixelBuffer,
     decode_image,
@@ -13,6 +14,7 @@ from lumaforge import (
     read_image,
     write_image,
 )
+from lumaforge.netpbm import read_dims
 
 gray_arrays = npst.arrays(
     np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16)
@@ -67,21 +69,35 @@ def test_reader_tolerates_comments_and_whitespace():
     assert buf.data.tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"P4\n2 2\n255\n" + b"\x00" * 4,  # unsupported magic
-        b"P5\n2 2\n65535\n" + b"\x00" * 8,  # wide maxval
-        b"P5\n2 2\n255\n" + b"\x00" * 3,  # truncated payload
-        b"P5\n2 2\n255\n" + b"\x00" * 5,  # trailing junk
-        b"P5\nx 2\n255\n" + b"\x00" * 4,  # non-numeric size
-        b"P5\n2 2",  # header cut short
-        b"P5\n0 2\n255\n",  # degenerate size
-    ],
-)
+MALFORMED = [
+    b"P4\n2 2\n255\n" + b"\x00" * 4,  # unsupported magic
+    b"P5\n2 2\n65535\n" + b"\x00" * 8,  # wide maxval
+    b"P5\n2 2\n255\n" + b"\x00" * 3,  # truncated payload
+    b"P5\n2 2\n255\n" + b"\x00" * 5,  # trailing junk
+    b"P5\nx 2\n255\n" + b"\x00" * 4,  # non-numeric size
+    b"P5\n2 2",  # header cut short
+    b"P5\n0 2\n255\n",  # degenerate size
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED)
 def test_reader_rejects_malformed(data):
     with pytest.raises(IngestionError):
         decode_image(data)
+
+
+@pytest.mark.parametrize("data", MALFORMED)
+def test_read_dims_rejects_what_the_decoder_rejects(data, tmp_path):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(data)
+    with pytest.raises(IngestionError):
+        read_dims(path)
+
+
+def test_read_dims_reads_headers_longer_than_its_probe(tmp_path):
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(b"P6\n# " + b"x" * 5000 + b"\n3 2\n255\n" + bytes(range(18)))
+    assert read_dims(path) == Dimensions(2, 3) == read_image(path).dims
 
 
 def test_missing_file(tmp_path):

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,12 +146,6 @@ class TestPipelineConfig:
         assert base.digest() not in digests
         assert len(digests) == len(changed)
 
-    def test_from_file_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            PipelineConfig.from_file(path)
-
 
 class TestIngest:
     def test_orders_by_numeric_index(self, tmp_path):
@@ -159,8 +157,8 @@ class TestIngest:
                 d / f"clip_{index}.pgm",
             )
         seq = ingest_frames(d)
-        assert [int(f.data[0, 0, 0]) for f in seq.frames] == [0, 20, 100]
-        assert seq.source_manifest == [(0, "clip_0.pgm"), (1, "clip_2.pgm"), (2, "clip_10.pgm")]
+        assert [int(seq.load(i).data[0, 0, 0]) for i in range(3)] == [0, 20, 100]
+        assert [p.name for p in seq.paths] == ["clip_0.pgm", "clip_2.pgm", "clip_10.pgm"]
         assert seq.name == "clip"
 
     def test_promotes_gray_to_color(self, tmp_path):
@@ -168,7 +166,7 @@ class TestIngest:
         write_gray_sequence(d, "clip", [PixelBuffer(np.full((3, 4), 9, dtype=np.uint8))])
         seq = ingest_frames(d)
         assert seq.native_kind == "gray"
-        frame = seq.frames[0]
+        frame = seq.load(0)
         assert isinstance(frame, ColorBuffer)
         r, g, b = frame.planes()
         assert r == g == b
@@ -206,7 +204,7 @@ class TestIngest:
         (d / "report.json").write_text("{}")
         (d / "clip_gray_hist_pre_000.csv").write_text("level,count,probability\n")
         seq = ingest_frames(d)
-        assert len(seq.frames) == 1
+        assert len(seq.paths) == 1
 
 
 class TestRunPipeline:
@@ -378,6 +376,57 @@ class TestRunStage:
     def test_unknown_stage(self, tmp_path, gray_in):
         with pytest.raises(ConfigurationError, match="unknown stage"):
             run_stage(small_config(tmp_path), "sharpen")
+
+
+class TestStreaming:
+    def test_truncated_last_frame_fails_before_any_artifact(self, tmp_path):
+        frames = [block_texture(i, rows=12, cols=16) for i in range(4)]
+        write_gray_sequence(tmp_path / "in", "clip", frames)
+        last = tmp_path / "in" / "clip_003.pgm"
+        last.write_bytes(last.read_bytes()[:-1])
+        from lumaforge.cli import main
+
+        code = main(["run", "--input-dir", str(tmp_path / "in"), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_load_rejects_a_frame_resized_after_ingestion(self, tmp_path):
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(0, rows=4, cols=4)])
+        seq = ingest_frames(tmp_path / "in")
+        write_image(block_texture(0, rows=4, cols=6), tmp_path / "in" / "clip_000.pgm")
+        with pytest.raises(IngestionError, match="clip_000.pgm"):
+            seq.load(0)
+
+    def test_peak_memory_does_not_grow_with_sequence_length(self, tmp_path):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status to read the child's peak memory")
+        # The child reads its own high-water mark (VmHWM): the ru_maxrss a
+        # parent sees for a child also counts the spawning process's peak.
+        child = (
+            "import sys\n"
+            "from lumaforge.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+            "print(int(hwm.split()[1]))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(pipeline_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        rng = np.random.default_rng(0)
+        peaks_kib = []
+        for n_frames in (200, 2000):
+            in_dir = tmp_path / f"in{n_frames}"
+            in_dir.mkdir()
+            for i in range(n_frames):
+                write_image(ColorBuffer(rng.integers(0, 256, (48, 64, 3))), in_dir / f"clip_{i:04d}.ppm")
+            argv = ["luma", "--input-dir", str(in_dir), "--output-dir", str(tmp_path / f"out{n_frames}"),
+                    "--resize", "none"]
+            done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            peaks_kib.append(int(done.stdout.strip().splitlines()[-1]))
+        print(f"peak KiB at 200 and 2000 frames: {peaks_kib}")
+        assert peaks_kib[1] - peaks_kib[0] < 4 * 1024, peaks_kib
 
 
 class TestSequencePsnr:

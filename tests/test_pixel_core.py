@@ -104,6 +104,11 @@ class TestLumaWeights:
         with pytest.raises(ConfigurationError):
             LumaWeights(-0.2, 0.7, 0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LumaWeights(bad, 0.5, 0.5)
+
 
 class TestRgbToLuma:
     def test_white_is_255(self):
@@ -154,6 +159,10 @@ class TestResizeNearest:
     def test_identity_at_own_dims(self, arr):
         frame = PixelBuffer(arr)
         assert resize_nearest(frame, frame.dims) == frame
+
+    def test_own_dims_returns_the_input_buffer(self):
+        frame = ColorBuffer(np.arange(24, dtype=np.uint8).reshape(2, 4, 3))
+        assert resize_nearest(frame, frame.dims) is frame
 
     @given(gray_arrays, st.integers(1, 8), st.integers(1, 8))
     def test_output_dims(self, arr, rows, cols):

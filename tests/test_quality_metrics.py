@@ -11,20 +11,16 @@ from lumaforge import (
     ConfigurationError,
     Dimensions,
     Histogram,
-    ImprovementRecord,
     MetricsReport,
     PixelBuffer,
     PsnrResult,
     enhance,
     export_histogram,
-    group_mass,
     histogram,
     improvement_pct,
     load_histogram,
-    mse_gray,
     psnr,
 )
-from lumaforge.luma_equalize import cumulative, quantize_levels
 
 frames = npst.arrays(np.uint8, st.tuples(st.integers(1, 10), st.integers(1, 10)))
 
@@ -44,23 +40,23 @@ REFERENCE_PAIRS = [
 class TestMse:
     def test_identical_is_zero(self):
         a = PixelBuffer(np.arange(16, dtype=np.uint8).reshape(4, 4))
-        assert mse_gray(a, a) == 0.0
+        assert psnr(a, a).mse == 0.0
 
     def test_uniform_difference_of_one(self):
         a = PixelBuffer(np.zeros((4, 4), dtype=np.uint8))
         b = PixelBuffer(np.ones((4, 4), dtype=np.uint8))
-        assert mse_gray(a, b) == 1.0
+        assert psnr(a, b).mse == 1.0
 
     def test_full_swing(self):
         a = PixelBuffer(np.zeros((3, 3), dtype=np.uint8))
         b = PixelBuffer(np.full((3, 3), 255, dtype=np.uint8))
-        assert mse_gray(a, b) == 65025.0
+        assert psnr(a, b).mse == 65025.0
 
     def test_dimension_mismatch(self):
         a = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
         b = PixelBuffer(np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(ConfigurationError):
-            mse_gray(a, b)
+            psnr(a, b)
 
 
 class TestPsnr:
@@ -135,11 +131,6 @@ class TestImprovement:
         else:
             assert value == 0
 
-    def test_record_from_pair(self):
-        record = ImprovementRecord.from_pair("akiyo", 15.06, 21.19)
-        assert abs(record.improvement_pct - 28.93) <= 0.01
-        assert record.sample_name == "akiyo"
-
 
 class TestHistogramCsv:
     def test_constant_frame_has_single_nonzero_row(self, tmp_path):
@@ -173,15 +164,6 @@ class TestHistogramCsv:
             loaded = load_histogram(path)
         assert loaded == hist
         assert np.max(np.abs(loaded.mass - hist.mass)) <= 1e-9
-
-    def test_grouping_shares_the_format(self, tmp_path):
-        frame = PixelBuffer(np.array([[0, 0], [1, 255]], dtype=np.uint8))
-        hist = histogram(frame)
-        grouping = group_mass(hist, quantize_levels(cumulative(hist)))
-        path = tmp_path / "group.csv"
-        export_histogram(grouping, path)
-        loaded = load_histogram(path)
-        assert loaded.counts[128] == 2 and loaded.counts[191] == 1 and loaded.counts[255] == 1
 
     def test_load_rejects_malformed(self, tmp_path):
         from lumaforge import IngestionError
