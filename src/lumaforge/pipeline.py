@@ -169,15 +169,12 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+        kwargs: dict = {}
         for required in ("input_dir", "output_dir"):
             if required not in data:
                 raise ConfigurationError(f"config is missing required field {required!r}")
-        seed = _typed(data.get("seed", 0), int, "seed", "an integer")
-        kwargs: dict = {
-            "input_dir": Path(data["input_dir"]),
-            "output_dir": Path(data["output_dir"]),
-            "seed": seed,
-        }
+            kwargs[required] = Path(_typed(data[required], (str, Path), required, "a path"))
+        seed = kwargs["seed"] = _typed(data.get("seed", 0), int, "seed", "an integer")
         if "resize_to" in data:
             kwargs["resize_to"] = _parse_dims(data["resize_to"], "resize_to", optional=True)
         if "luma_weights" in data:

@@ -320,6 +320,10 @@ class TestConfigValidation:
         argv = self.run_config(sequence_dir, tmp_path, sample_name=5)
         self.assert_config_error(argv, tmp_path, capsys)
 
+    def test_non_string_output_dir(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, output_dir=["out"])
+        self.assert_config_error(argv, tmp_path, capsys)
+
     def test_config_bad_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
