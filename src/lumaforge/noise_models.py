@@ -11,6 +11,7 @@ clean value, never on its neighbors.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .pixel_core import PixelBuffer, round_half_up
-from .rng import U64_MAX, site_normals, site_uniforms, site_uniforms_at
+from .rng import U64_MAX, site_normals, site_uniforms
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
 
@@ -101,27 +102,54 @@ def gaussian(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:
     return PixelBuffer(round_half_up(255.0 * level).astype(np.uint8))
 
 
+@functools.cache
+def _poisson_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Flattened (cdf, guide) tables of min(Poisson(lam), 255) for lam = 0..255.
+
+    cdf[lam*256 + k] = P(min(X, 255) <= k), taken as 1 minus the normalized
+    upper tail so that it is monotone, never above 1, and exactly 1 wherever
+    the tail is below double resolution; column 255 is 1.0, which is the
+    clamp. guide[lam*256 + j] is the smallest k with cdf > j/256: a search for
+    u in [j/256, (j+1)/256) may start there and needs fewer than two
+    comparisons on average (the cutpoint method of Chen & Asau, 1974). Built
+    on first use; both arrays are read-only.
+    """
+    # P(Poisson(255) > 511) is below 1e-50, so the pmf stops at k = 511
+    k = np.arange(512)
+    log_k_factorial = np.array([math.lgamma(i + 1.0) for i in k])
+    cutpoints = np.arange(256) / 256.0
+    cdf = np.ones((256, 256))
+    guide = np.zeros((256, 256), dtype=np.uint8)  # lam = 0 always gives 0
+    for lam in range(1, 256):
+        pmf = np.exp(k * math.log(lam) - lam - log_k_factorial)
+        above = np.cumsum(pmf[:0:-1])[::-1]  # above[k] = P(X > k)
+        cdf[lam, :255] = 1.0 - above[:255] / pmf.sum()
+        guide[lam] = np.searchsorted(cdf[lam], cutpoints, side="right")
+    cdf, guide = cdf.ravel(), guide.ravel()
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
+
+
 def poisson(frame: PixelBuffer, seed: int) -> PixelBuffer:
     """Draw each output from Poisson(lambda = clean 8-bit value), clamped to 255.
 
-    Uses the product-of-uniforms sampler; pixel i consumes only its own
-    (seed, i, draw) stream, so its output never depends on neighboring pixels,
-    no matter how many draws those needed. An all-zero frame is a fixed point.
+    Inverts the tabulated CDF of the clamped Poisson with one uniform per
+    pixel: the output is the smallest k with cdf[lambda, k] >= u, found by a
+    short upward walk from the guide-table start. Pixel i's output depends
+    only on (seed, i, lambda_i), never on its neighbors. An all-zero frame is
+    a fixed point.
     """
-    lam = frame.data.astype(np.float64).ravel()
-    stop = np.exp(-lam)  # smallest case e^-255 is still a normal double
-    product = np.ones(lam.size)
-    events = np.zeros(lam.size, dtype=np.int64)
-    pending = np.arange(lam.size)
-    draw = 0
+    cdf, guide = _poisson_tables()
+    row = frame.data.ravel().astype(np.intp) << 8
+    u = site_uniforms(seed, row.size)
+    # u can round to exactly 1.0; masking sends it to cutpoint 0, a valid
+    # (if longer) start for any u
+    at = row + guide[row + ((u * 256.0).astype(np.intp) & 255)]
+    pending = np.flatnonzero(cdf[at] < u)
     while pending.size:
-        u = site_uniforms_at(seed, pending, draw)
-        product[pending] *= u
-        events[pending] += 1
-        pending = pending[product[pending] > stop[pending]]
-        draw += 1
-    samples = np.clip(events - 1, 0, 255).astype(np.uint8)
-    return PixelBuffer(samples.reshape(frame.data.shape))
+        at[pending] += 1
+        pending = pending[cdf[at[pending]] < u[pending]]
+    return PixelBuffer((at - row).astype(np.uint8).reshape(frame.data.shape))
 
 
 def speckle(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:

@@ -52,7 +52,12 @@ from .quality_metrics import (
     squared_error_total,
 )
 from .rng import U64_MAX, derive_seed
-from .smoothing_filters import FilterWindow, hybrid_median_filter, median_filter
+from .smoothing_filters import (
+    FilterWindow,
+    check_hybrid_window,
+    hybrid_median_filter,
+    median_filter,
+)
 
 FILTER_KINDS = ("median", "hybrid_median")
 MODES = ("gray", "color", "both")
@@ -90,6 +95,8 @@ class FilterSpec:
             raise ConfigurationError(
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
             )
+        if self.kind == "hybrid_median":
+            check_hybrid_window(self.window)
 
 
 @dataclass
@@ -127,6 +134,14 @@ class PipelineConfig:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
+        # the name prefixes every artifact file name, so it must stay one
+        # plain file name component inside output_dir
+        if self.sample_name is not None and (
+            self.sample_name in ("", ".", "..") or any(c in self.sample_name for c in "/\\")
+        ):
+            raise ConfigurationError(
+                f"sample_name must be a plain file name without / or \\, got {self.sample_name!r}"
+            )
 
     def to_mapping(self) -> dict:
         """Canonical dict of every config field, defaults resolved."""
@@ -366,14 +381,15 @@ def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: boo
 
 def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):
     """Per-channel noise and filter, then equalization; returns as _gray_path."""
-    out = frame
+    out = reference = frame
     if cfg.noise or cfg.filter:
-        planes = [
-            _noise_and_filter(cfg, plane, index, slot)[1]
+        noisy, smooth = zip(*(
+            _noise_and_filter(cfg, plane, index, slot)
             for slot, plane in enumerate(frame.planes(), start=1)
-        ]
-        out = ColorBuffer.from_planes(*planes)
-    reference = out if cfg.psnr_reference == "noisy" else frame
+        ))
+        out = ColorBuffer.from_planes(*smooth)
+        if cfg.psnr_reference == "noisy":
+            reference = ColorBuffer.from_planes(*noisy)
     if not enhance:
         return out, (), reference
     enhanced = enhance_color(out, cfg.sigma)

@@ -4,9 +4,9 @@ Every variate is a pure function of (seed, site index, draw index): instead of
 advancing shared generator state, the triple is hashed with the splitmix64
 finalizer. Outputs are therefore identical under any traversal order, chunking,
 or worker count, which is what makes noisy pipeline runs reproducible
-byte-for-byte. A stateful generator would also make a pixel's variate depend on
-how many draws its predecessors consumed, which matters for the
-variable-draw-count samplers (see noise_models.poisson).
+byte-for-byte. Each noise model draws a fixed number of variates per pixel
+(one, or two for the Box-Muller normals), so a pixel's value also never
+depends on how many other pixels are sampled alongside it.
 """
 
 from __future__ import annotations

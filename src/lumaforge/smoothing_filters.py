@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError
 from .pixel_core import PixelBuffer
 
-__all__ = ["FilterWindow", "median_filter", "hybrid_median_filter"]
+__all__ = ["FilterWindow", "check_hybrid_window", "median_filter", "hybrid_median_filter"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,16 @@ def median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow()) -> 
     return PixelBuffer(_lower_median(flat))
 
 
+def check_hybrid_window(window: FilterWindow) -> None:
+    """Raise ConfigurationError unless the window is square with side >= 3."""
+    if window.rows != window.cols:
+        raise ConfigurationError(
+            f"hybrid median needs a square window, got {window.rows}x{window.cols}"
+        )
+    if window.rows < 3:
+        raise ConfigurationError(f"hybrid median needs window side >= 3, got {window.rows}")
+
+
 def hybrid_median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow()) -> PixelBuffer:
     """Median of {plus-neighborhood median, X-neighborhood median, center}.
 
@@ -62,13 +72,8 @@ def hybrid_median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow
     neighborhood is both diagonals; each includes the center pixel, for 2k-1
     values apiece. Requires a square window of odd side k >= 3.
     """
-    if window.rows != window.cols:
-        raise ConfigurationError(
-            f"hybrid median needs a square window, got {window.rows}x{window.cols}"
-        )
+    check_hybrid_window(window)
     k = window.rows
-    if k < 3:
-        raise ConfigurationError(f"hybrid median needs window side >= 3, got {k}")
     half = k // 2
     span = np.arange(k)
     off_center = span[span != half]

@@ -324,6 +324,28 @@ class TestConfigValidation:
         argv = self.run_config(sequence_dir, tmp_path, output_dir=["out"])
         self.assert_config_error(argv, tmp_path, capsys)
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", ""])
+    def test_sample_name_flag_is_not_a_path(self, tmp_path, sequence_dir, capsys, name):
+        argv = self.run_args(sequence_dir, tmp_path, "--sample-name", name)
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sample_name_config_is_not_a_path(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, sample_name="../escaped")
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("window", ["1x1", "3x5"])
+    def test_bad_hybrid_window_flag(self, tmp_path, sequence_dir, capsys, window):
+        argv = self.run_args(sequence_dir, tmp_path, "--filter-kind", "hybrid_median", "--window", window)
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    def test_bad_hybrid_window_config(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, filter={"kind": "hybrid_median", "window": [3, 5]})
+        self.assert_config_error(argv, tmp_path, capsys)
+
     def test_config_bad_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

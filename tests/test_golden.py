@@ -6,9 +6,7 @@ directory (every relative file name and the file's bytes). The matrix covers
 `run` for no noise plus each noise kind x no filter, median 3x3, median 5x5
 and hybrid median 3x3 x mode gray, color and both, on both source kinds; the
 four stage commands on both source kinds; a real resize; jobs 2; the
-`metrics` JSON; and the `report` tables. Poisson draws about one uniform per
-pixel per intensity level, so its cases run on a 24x32 resize of the sources
-to keep the whole corpus near ten seconds.
+`metrics` JSON; and the `report` tables.
 
 Paths are relative to the working directory, because `report.json` carries a
 digest of the config and the config holds the input and output paths.
@@ -84,8 +82,7 @@ def _cases() -> dict[str, list[list[str]]]:
             for noise, noise_args in NOISES.items():
                 for filt, filter_args in FILTERS.items():
                     name = f"run-{source}-{mode}-{noise}-{filt}"
-                    resize = "24x32" if noise == "poisson" else "none"
-                    cases[name] = [["run", *_io(source, f"out/{name}"), "--resize", resize,
+                    cases[name] = [["run", *_io(source, f"out/{name}"), "--resize", "none",
                                     "--mode", mode, *noise_args, *filter_args]]
         for stage, stage_args in STAGES.items():
             name = f"stage-{source}-{stage}"

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from lumaforge import (
     salt_pepper,
     speckle,
 )
+from lumaforge.rng import site_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
 small_frames = npst.arrays(
@@ -146,7 +149,75 @@ class TestGaussian:
             gaussian(mid_gray(4, 4), -0.5, 0)
 
 
+def clamped_poisson_pmf(lam: int) -> list[float]:
+    """pmf of min(Poisson(lam), 255), the tail mass lumped into 255."""
+    if lam == 0:
+        return [1.0] + [0.0] * 255
+    head = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(255)]
+    return head + [max(0.0, 1.0 - math.fsum(head))]
+
+
+def chi_square(counts: np.ndarray, pmf: list[float]) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom, adjacent bins merged until each expects >= 5."""
+    n = int(counts.sum())
+    groups = []  # [observed, expected]
+    pending = [0, 0.0]
+    for observed, p in zip(counts.tolist(), pmf):
+        pending[0] += observed
+        pending[1] += n * p
+        if pending[1] >= 5.0:
+            groups.append(pending)
+            pending = [0, 0.0]
+    if groups:
+        groups[-1][0] += pending[0]
+        groups[-1][1] += pending[1]
+    statistic = math.fsum((o - e) ** 2 / e for o, e in groups)
+    return statistic, len(groups) - 1
+
+
+def chi_square_critical(df: int, z: float = 4.7534) -> float:
+    """Upper 1e-6 point of chi-square(df) by Wilson-Hilferty; z is the normal 1e-6 point."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def poisson_counts(level: int, seed: int) -> np.ndarray:
+    out = poisson(PixelBuffer(np.full((256, 256), level, dtype=np.uint8)), seed)
+    return np.bincount(out.data.ravel(), minlength=256)
+
+
 class TestPoisson:
+    @pytest.mark.parametrize("lam", [1, 2, 5, 10, 32, 96, 160, 200, 254, 255])
+    def test_matches_clamped_pmf(self, lam):
+        statistic, df = chi_square(poisson_counts(lam, 1000 + lam), clamped_poisson_pmf(lam))
+        assert df >= 1
+        assert statistic <= chi_square_critical(df)
+
+    @pytest.mark.parametrize("lam", [5, 10, 32, 96, 160, 200])
+    def test_rejects_a_rate_ten_percent_high(self, lam):
+        # negative control: the same test must notice samples at the wrong rate
+        counts = poisson_counts(round(1.1 * lam), 1000 + lam)
+        statistic, df = chi_square(counts, clamped_poisson_pmf(lam))
+        assert statistic > chi_square_critical(df)
+
+    def test_inverts_the_cdf_of_one_uniform_per_pixel(self):
+        # reference: smallest k whose pure-python cdf reaches the pixel's uniform
+        levels = np.arange(256, dtype=np.uint8).repeat(16).reshape(64, 64)
+        out = poisson(PixelBuffer(levels), 77).data.ravel()
+        cdfs = [list(itertools.accumulate(clamped_poisson_pmf(lam)))[:255] + [1.0]
+                for lam in range(256)]
+        u = site_uniforms(77, levels.size).tolist()
+        expected = [bisect.bisect_left(cdfs[lam], u_i) for lam, u_i in zip(levels.ravel().tolist(), u)]
+        assert out.tolist() == expected
+
+    def test_single_pixel_change_is_local(self):
+        a = np.full((10, 10), 50, dtype=np.uint8)
+        b = a.copy()
+        b[4, 6] = 200
+        out_a = poisson(PixelBuffer(a), 31).data
+        out_b = poisson(PixelBuffer(b), 31).data
+        assert np.argwhere(out_a != out_b).tolist() == [[4, 6]]
+
     @given(seeds)
     def test_zero_frame_is_fixed_point(self, seed):
         frame = PixelBuffer(np.zeros((8, 8), dtype=np.uint8))

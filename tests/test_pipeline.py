@@ -23,13 +23,19 @@ from lumaforge import (
     PipelineConfig,
     PipelineStageError,
     PixelBuffer,
+    PsnrResult,
+    apply_noise,
     ingest_frames,
+    read_image,
     report_table,
+    rgb_to_luma,
     run_pipeline,
     run_stage,
     sequence_psnr,
     write_image,
 )
+from lumaforge.quality_metrics import squared_error_total
+from lumaforge.rng import derive_seed
 
 REFERENCE_PAIRS = [
     ("naerls1", "18.1Mb", 157, 31.95, 36.45),
@@ -214,8 +220,6 @@ class TestRunPipeline:
         report = run_pipeline(small_config(tmp_path))
         enhanced = sorted((tmp_path / "out").glob("*_enhanced_*.pgm"))
         assert len(enhanced) == 2
-        from lumaforge import read_image
-
         assert all(np.all(read_image(p).data == 255) for p in enhanced)
         # PSNR vs the clean constant frame: mse = (255-40)^2, finite
         assert math.isfinite(report.gray_psnr_db)
@@ -283,8 +287,6 @@ class TestRunPipeline:
         frames = [block_texture(1, rows=20, cols=20)]
         write_gray_sequence(tmp_path / "in", "clip", frames)
         report = run_pipeline(small_config(tmp_path, resize_to=Dimensions(10, 5)))
-        from lumaforge import read_image
-
         out_frame = read_image(next(iter((tmp_path / "out").glob("*.pgm"))))
         assert out_frame.dims == Dimensions(10, 5)
         assert report.frame_dims == (10, 5)
@@ -298,6 +300,28 @@ class TestRunPipeline:
             small_config(tmp_path, noise=noise, psnr_reference="noisy", output_dir=tmp_path / "out2")
         )
         assert clean_ref.gray_psnr_db != noisy_ref.gray_psnr_db
+
+    def test_noisy_reference_is_the_noised_frame_before_the_filter(self, tmp_path):
+        frames = [color_block_texture(i, rows=16, cols=16) for i in range(2)]
+        write_color_sequence(tmp_path / "in", "clip", frames)
+        noise = NoiseSpec("salt_pepper", 0.2, 11)
+        report = run_pipeline(small_config(
+            tmp_path, mode="both", noise=noise, filter=FilterSpec("median"), psnr_reference="noisy"))
+
+        def noised(plane, index, slot):
+            return apply_noise(plane, NoiseSpec(noise.kind, noise.d, derive_seed(noise.seed, index, slot)))
+
+        gray_sse = color_sse = 0
+        for index, frame in enumerate(frames):
+            gray = read_image(tmp_path / "out" / f"clip_enhanced_{index:03d}.pgm")
+            gray_sse += squared_error_total(gray, noised(rgb_to_luma(frame), index, 0))
+            color = read_image(tmp_path / "out" / f"clip_enhanced_{index:03d}.ppm")
+            for slot, (ours, clean) in enumerate(zip(color.planes(), frame.planes()), start=1):
+                color_sse += squared_error_total(ours, noised(clean, index, slot))
+        samples = len(frames) * 16 * 16
+        assert report.gray_psnr_db == pytest.approx(PsnrResult.from_mse(gray_sse / samples).psnr_db)
+        assert report.color_psnr_db == pytest.approx(
+            PsnrResult.from_mse(color_sse / (3 * samples)).psnr_db)
 
     def test_stage_failure_cleans_up_with_frame_index(self, tmp_path, monkeypatch):
         frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(3)]

@@ -30,8 +30,8 @@ def test_distinct_seeds_give_distinct_streams():
 
 @given(seeds, st.integers(0, 3))
 def test_subset_indexing_matches_full_stream(seed, draw):
-    # the property poisson sampling relies on: a site's value never depends
-    # on which other sites are evaluated alongside it
+    # a site's value never depends on which other sites are evaluated
+    # alongside it, so any subset or chunking of a frame sees the same stream
     full = site_uniforms(seed, 40, draw)
     picked = site_uniforms_at(seed, np.array([3, 17, 39]), draw)
     assert np.array_equal(picked, full[[3, 17, 39]])
