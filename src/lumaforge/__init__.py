@@ -9,18 +9,13 @@ orchestration with a CLI (pipeline, cli).
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .luma_equalize import (
-    CumulativeDistribution,
-    EnhanceDiagnostics,
     Histogram,
-    LevelMap,
-    apply_map,
     color_histogram,
-    cumulative,
     enhance,
     enhance_color,
     enhance_with_diagnostics,
     histogram,
-    quantize_levels,
+    level_map,
 )
 from .netpbm import decode_image, encode_image, read_image, write_image
 from .noise_models import (

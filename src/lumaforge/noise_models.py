@@ -80,6 +80,9 @@ def salt_pepper(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:
     """
     if not 0.0 <= d <= 1.0:
         raise ConfigurationError(f"salt_pepper density must lie in [0, 1], got {d}")
+    if d == 0:
+        # a uniform of exactly 1.0 would still pass the salt test below
+        return frame
     out = frame.data.copy()
     u = site_uniforms(seed, out.size).reshape(out.shape)
     out[u < d / 2.0] = 0

@@ -375,8 +375,8 @@ def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: boo
     reference = noisy if cfg.psnr_reference == "noisy" else clean
     if not enhance:
         return out, (), reference
-    enhanced, diagnostics = enhance_with_diagnostics(out, cfg.sigma)
-    return enhanced, (diagnostics.input_histogram, histogram(enhanced)), reference
+    enhanced, hist = enhance_with_diagnostics(out, cfg.sigma)
+    return enhanced, (hist, histogram(enhanced)), reference
 
 
 def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):

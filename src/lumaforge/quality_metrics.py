@@ -93,11 +93,9 @@ def improvement_pct(gray_db: float, color_db: float) -> float:
 
 def export_histogram(hist, path) -> None:
     """Write one `level,count,probability` row per intensity level of a Histogram."""
-    counts = hist.counts
-    mass = hist.mass
+    rows = enumerate(zip(hist.counts.tolist(), hist.mass.tolist()))
     lines = ["level,count,probability"]
-    for level in range(len(counts)):
-        lines.append(f"{level},{int(counts[level])},{mass[level]:.9e}")
+    lines += [f"{level},{count},{mass:.9e}" for level, (count, mass) in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -51,7 +51,9 @@ def derive_seed(seed: int, *stream_ids: int) -> int:
 def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
     """Uniform doubles for the given site indices at one draw index.
 
-    Values lie strictly inside (0, 1) so downstream logs stay finite.
+    Values lie in (0, 1]. They are never 0, so downstream logs stay finite.
+    They are exactly 1.0 when the hash's top 53 bits are all ones: the sum
+    (2**53 - 1) + 0.5 needs 54 bits and rounds to 2**53 in float64.
     """
     base = mix64((seed + (draw + 1) * _GOLDEN) & U64_MAX)
     idx = np.asarray(sites, dtype=np.uint64) + np.uint64(1)
@@ -61,7 +63,7 @@ def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
 
 
 def site_uniforms(seed: int, n_sites: int, draw: int = 0) -> np.ndarray:
-    """Uniform(0, 1) doubles for sites 0..n_sites-1 at one draw index."""
+    """Uniform doubles in (0, 1] for sites 0..n_sites-1 at one draw index."""
     return site_uniforms_at(seed, np.arange(n_sites, dtype=np.uint64), draw)
 
 

@@ -48,8 +48,12 @@ def oracle_hybrid_median_filter(grid, side):
     return out
 
 
-def oracle_equalize(grid):
-    """Textbook equalization: count levels -> cumulative -> round-half-up scale -> lookup."""
+def oracle_equalize(grid, sigma=0.0):
+    """Textbook equalization: count levels -> cumulative -> round-half-up scale -> lookup.
+
+    sigma is a constant weight added to every level's mass before it joins the
+    running sum, in the same operation order as the library.
+    """
     flat = [v for row in grid for v in row]
     counts = [0] * 256
     for v in flat:
@@ -58,6 +62,6 @@ def oracle_equalize(grid):
     table = []
     running = 0.0
     for level in range(256):
-        running += counts[level] / area
+        running += counts[level] / area + sigma
         table.append(min(255, max(0, math.floor(running * 255 + 0.5))))
     return [[table[v] for v in row] for row in grid]

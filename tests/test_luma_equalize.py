@@ -8,19 +8,15 @@ from _oracles import oracle_equalize
 from lumaforge import (
     ColorBuffer,
     ConfigurationError,
-    CumulativeDistribution,
     Dimensions,
     Histogram,
-    LevelMap,
     PixelBuffer,
-    apply_map,
     color_histogram,
-    cumulative,
     enhance,
     enhance_color,
     enhance_with_diagnostics,
     histogram,
-    quantize_levels,
+    level_map,
 )
 
 frames = npst.arrays(
@@ -29,6 +25,8 @@ frames = npst.arrays(
 color_frames = npst.arrays(
     np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(3))
 )
+# per-level weights: none, small and large overshoot, and an undershoot
+SIGMAS = (0.0, 1.0 / 512.0, 0.01, -0.001)
 
 
 def quad_frame():
@@ -62,29 +60,33 @@ class TestHistogram:
 
 
 class TestCumulative:
+    """The running sum behind the level map, seen through the table."""
+
     def test_running_sum_of_quad_frame(self):
-        cdf = cumulative(histogram(quad_frame())).values
-        assert cdf[0] == 0.5 and cdf[1] == 0.75
-        assert np.all(cdf[2:255] == 0.75)
-        assert cdf[255] == 1.0
+        # cumulative 0.5, 0.75 (levels 1..254), 1.0 at 255
+        table = level_map(histogram(quad_frame()))
+        assert table[0] == 128 and table[1] == 191
+        assert np.all(table[2:255] == 191)
+        assert table[255] == 255
 
     def test_constant_frame_is_step_function(self):
-        cdf = cumulative(histogram(PixelBuffer.full(Dimensions(3, 3), 100))).values
-        assert np.all(cdf[:100] == 0.0) and np.all(cdf[100:] == 1.0)
+        table = level_map(histogram(PixelBuffer.full(Dimensions(3, 3), 100)))
+        assert np.all(table[:100] == 0) and np.all(table[100:] == 255)
 
     def test_weight_term_accumulates(self):
-        cdf = cumulative(np.zeros(256), 1.0 / 256.0).values
-        assert np.allclose(cdf, (np.arange(256) + 1) / 256.0)
+        # no mass below 255, so C(l) = (l + 1) / 256 there, exact in binary
+        table = level_map(histogram(PixelBuffer.full(Dimensions(2, 2), 255)), 1.0 / 256.0)
+        levels = np.arange(255)
+        assert np.array_equal(table[:255], ((levels + 1) * 255 * 2 + 256) // 512)
+        assert table[255] == 255  # C(255) = 2, clamped
 
     @given(frames)
     def test_nondecreasing_with_unit_top(self, arr):
-        cdf = cumulative(histogram(PixelBuffer(arr))).values
+        hist = histogram(PixelBuffer(arr))
+        cdf = np.cumsum(hist.mass)
         assert np.all(np.diff(cdf) >= 0)
         assert abs(cdf[-1] - 1.0) <= 1e-9
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ConfigurationError):
-            cumulative(np.zeros(100))
+        assert np.array_equal(level_map(hist), np.floor(cdf * 255 + 0.5).astype(np.uint8))
 
 
 class TestQuantizeLevels:
@@ -92,46 +94,38 @@ class TestQuantizeLevels:
         "cdf_value,expected", [(1.0, 255), (0.5, 128), (0.75, 191), (0.0, 0)]
     )
     def test_scaling_arithmetic(self, cdf_value, expected):
-        table = quantize_levels(CumulativeDistribution(np.full(256, cdf_value))).table
-        assert table[0] == expected
+        # four samples: 4 * cdf_value of them at level 0, the rest at 255
+        counts = np.zeros(256, dtype=np.int64)
+        counts[0] = int(4 * cdf_value)
+        counts[255] = 4 - counts[0]
+        assert level_map(Histogram(counts))[0] == expected
 
     def test_clamps_overshoot(self):
-        # nonzero weight pushes the running sum past 1; the map must stay 8-bit
-        cdf = cumulative(histogram(quad_frame()), 0.01)
-        table = quantize_levels(cdf).table
-        assert table.max() == 255
+        # nonzero weight pushes the running sum past 1 (or below 0); the map must stay 8-bit
+        table = level_map(histogram(quad_frame()), 0.01)
+        assert table.dtype == np.uint8 and table.max() == 255
+        below = level_map(histogram(PixelBuffer.full(Dimensions(2, 2), 255)), -0.01)
+        assert np.all(below == 0)  # the running sum ends at 1 - 2.56
 
     @given(frames)
     def test_nondecreasing_with_top_255(self, arr):
-        table = quantize_levels(cumulative(histogram(PixelBuffer(arr)))).table
+        table = level_map(histogram(PixelBuffer(arr)))
+        assert table.shape == (256,) and table.dtype == np.uint8
         assert np.all(np.diff(table.astype(np.int64)) >= 0)
         assert table[255] == 255
 
 
 class TestApplyMap:
-    @given(frames)
-    def test_identity_map(self, arr):
-        frame = PixelBuffer(arr)
-        assert apply_map(frame, LevelMap.identity()) == frame
-
     def test_quad_frame_end_to_end(self):
         frame = quad_frame()
-        hist = histogram(frame)
-        out = apply_map(frame, quantize_levels(cumulative(hist)))
-        assert out.data.tolist() == [[128, 128], [191, 255]]
+        out = level_map(histogram(frame))[frame.data]
+        assert out.tolist() == [[128, 128], [191, 255]]
 
-    @given(frames)
-    def test_identity_is_right_unit(self, arr):
+    @given(frames, st.sampled_from(SIGMAS))
+    def test_enhance_is_the_level_map_lookup(self, arr, sigma):
         frame = PixelBuffer(arr)
-        hist = histogram(frame)
-        mapped = apply_map(frame, quantize_levels(cumulative(hist)))
-        assert apply_map(mapped, LevelMap.identity()) == mapped
-
-    def test_level_map_validation(self):
-        with pytest.raises(ConfigurationError):
-            LevelMap(np.zeros(100, dtype=np.int64))
-        with pytest.raises(ConfigurationError):
-            LevelMap(np.full(256, 300, dtype=np.int64))
+        expected = level_map(histogram(frame), sigma)[arr]
+        assert np.array_equal(enhance(frame, sigma).data, expected)
 
 
 class TestEnhance:
@@ -146,13 +140,14 @@ class TestEnhance:
     @settings(max_examples=150, deadline=None)
     @given(frames)
     def test_matches_textbook_oracle(self, arr):
-        ours = enhance(PixelBuffer(arr)).data.tolist()
-        assert ours == oracle_equalize(arr.tolist())
+        for sigma in SIGMAS:
+            ours = enhance(PixelBuffer(arr), sigma).data.tolist()
+            assert ours == oracle_equalize(arr.tolist(), sigma), sigma
 
     @given(frames)
     def test_preserves_intensity_ordering(self, arr):
         frame = PixelBuffer(arr)
-        table = enhance_with_diagnostics(frame)[1].level_map.table.astype(np.int64)
+        table = level_map(histogram(frame)).astype(np.int64)
         present = np.flatnonzero(np.bincount(arr.ravel(), minlength=256))
         assert np.all(np.diff(table[present]) >= 0)
 
@@ -163,9 +158,9 @@ class TestEnhance:
         assert len(np.unique(out.data)) <= len(np.unique(arr))
 
     def test_diagnostics_are_attached(self):
-        _, diag = enhance_with_diagnostics(quad_frame())
-        assert diag.input_histogram == histogram(quad_frame())
-        assert diag.level_map.table[255] == 255
+        out, hist = enhance_with_diagnostics(quad_frame())
+        assert hist == histogram(quad_frame())
+        assert out == enhance(quad_frame())
 
 
 class TestEnhanceColor:
@@ -180,12 +175,12 @@ class TestEnhanceColor:
         r, g, b = out.planes()
         assert r == g == b == enhance(plane)
 
-    @given(color_frames)
-    def test_decomposes_per_channel(self, arr):
+    @given(color_frames, st.sampled_from(SIGMAS))
+    def test_decomposes_per_channel(self, arr, sigma):
         frame = ColorBuffer(arr)
-        out = enhance_color(frame)
+        out = enhance_color(frame, sigma)
         for index in range(3):
-            assert out.channel(index) == enhance(frame.channel(index))
+            assert out.channel(index) == enhance(frame.channel(index), sigma)
 
 
 class TestColorHistogram:

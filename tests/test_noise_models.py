@@ -19,6 +19,7 @@ from lumaforge import (
     salt_pepper,
     speckle,
 )
+from lumaforge import noise_models
 from lumaforge.rng import site_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
@@ -88,6 +89,13 @@ class TestSaltPepper:
     def test_zero_density_is_identity(self, arr, seed):
         frame = PixelBuffer(arr)
         assert salt_pepper(frame, 0.0, seed) == frame
+
+    def test_zero_density_is_identity_at_a_uniform_of_one(self, monkeypatch):
+        # a site whose hash has its top 53 bits set draws exactly 1.0, which
+        # passes the salt test u >= 1 - d/2 even at d = 0
+        monkeypatch.setattr(noise_models, "site_uniforms", lambda seed, n, draw=0: np.full(n, 1.0))
+        frame = mid_gray(4, 4)
+        assert salt_pepper(frame, 0.0, 5) == frame
 
     def test_full_density_is_all_extremes(self):
         out = salt_pepper(mid_gray(64, 64), 1.0, 3)
