@@ -10,7 +10,6 @@ orchestration with a CLI (pipeline, cli).
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .luma_equalize import (
     Histogram,
-    color_histogram,
     enhance,
     enhance_color,
     enhance_with_diagnostics,

@@ -4,9 +4,10 @@ The chain is: per-level occupancy histogram -> weighted running sum -> integer
 level map via round-half-up of the scaled distribution -> pixel remap. A
 constant additive per-level weight (sigma, default 0) can be folded into the
 running sum; with sigma = 0 this is exactly classic histogram equalization and
-the top occupied level always lands on 255. enhance_with_diagnostics also
-returns the input histogram, which the pipeline writes out as the
-pre-enhancement CSV.
+the top occupied level always lands on 255. Gray and color frames take the
+same path: each channel plane is equalized through its own level map, and
+enhance_with_diagnostics also returns the input and output histograms pooled
+over the planes, which the pipeline writes out as the pre/post CSVs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "N_LEVELS",
     "Histogram",
     "histogram",
-    "color_histogram",
     "level_map",
     "enhance",
     "enhance_with_diagnostics",
@@ -68,13 +68,8 @@ class Histogram:
         return f"Histogram(area={self.area}, occupied={int(np.count_nonzero(self._counts))})"
 
 
-def histogram(frame: PixelBuffer) -> Histogram:
-    """Count how many samples sit at each of the 256 intensity levels."""
-    return Histogram(np.bincount(frame.samples, minlength=N_LEVELS))
-
-
-def color_histogram(frame: ColorBuffer) -> Histogram:
-    """Occupancy pooled over all three channel planes."""
+def histogram(frame: PixelBuffer | ColorBuffer) -> Histogram:
+    """Samples per intensity level, pooled over the channel planes of a color frame."""
     return Histogram(np.bincount(frame.data.ravel(), minlength=N_LEVELS))
 
 
@@ -91,24 +86,31 @@ def level_map(hist: Histogram, sigma: float = 0.0) -> np.ndarray:
     return np.clip(scaled, 0, N_LEVELS - 1).astype(np.uint8)
 
 
-def _equalize(plane: np.ndarray, sigma: float) -> tuple[np.ndarray, Histogram]:
-    """One uint8 plane remapped through its own level map, and its histogram."""
-    hist = Histogram(np.bincount(plane.ravel(), minlength=N_LEVELS))
-    return level_map(hist, sigma)[plane], hist
+def enhance_with_diagnostics(frame: PixelBuffer | ColorBuffer, sigma: float = 0.0) -> tuple:
+    """Equalize each channel plane through its own level map.
+
+    Returns (enhanced frame, pre histogram, post histogram), both pooled over
+    the planes. The post counts are each plane's input counts pushed through
+    its table, with no second pass over the pixels: exactly histogram(enhanced).
+    """
+    data = frame.data
+    planes = data.reshape(data.shape[:2] + (-1,))
+    out = np.empty_like(planes)
+    pre, post = np.zeros((2, N_LEVELS), dtype=np.int64)
+    for k in range(planes.shape[2]):
+        counts = np.bincount(planes[..., k].ravel(), minlength=N_LEVELS)
+        table = level_map(Histogram(counts), sigma)
+        out[..., k] = table[planes[..., k]]
+        pre += counts
+        np.add.at(post, table, counts)
+    return type(frame)(out.reshape(data.shape)), Histogram(pre), Histogram(post)
 
 
-def enhance_with_diagnostics(frame: PixelBuffer, sigma: float = 0.0) -> tuple[PixelBuffer, Histogram]:
-    """Equalize a grayscale frame; also return the histogram it was equalized by."""
-    out, hist = _equalize(frame.data, sigma)
-    return PixelBuffer(out), hist
-
-
-def enhance(frame: PixelBuffer, sigma: float = 0.0) -> PixelBuffer:
-    """Equalize a grayscale frame's brightness over the full dynamic range."""
+def enhance(frame: PixelBuffer | ColorBuffer, sigma: float = 0.0) -> PixelBuffer | ColorBuffer:
+    """Equalize a frame's brightness over the full dynamic range, per channel plane."""
     return enhance_with_diagnostics(frame, sigma)[0]
 
 
 def enhance_color(frame: ColorBuffer, sigma: float = 0.0) -> ColorBuffer:
     """Equalize each RGB channel plane independently, through its own histogram."""
-    planes = [_equalize(frame.data[..., channel], sigma)[0] for channel in range(3)]
-    return ColorBuffer(np.stack(planes, axis=-1))
+    return enhance(frame, sigma)

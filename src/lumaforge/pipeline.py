@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,12 +28,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
-from .luma_equalize import (
-    color_histogram,
-    enhance_color,
-    enhance_with_diagnostics,
-    histogram,
-)
+from .luma_equalize import enhance_with_diagnostics
 from .netpbm import read_dims, read_image, write_image
 from .noise_models import NoiseSpec, apply_noise
 from .pixel_core import (
@@ -132,6 +128,15 @@ class PipelineConfig:
             )
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # the OS takes names as NUL-free bytes; reject others before anything is made
+        for key in ("input_dir", "output_dir", "sample_name"):
+            name = getattr(self, key)
+            try:
+                encodable = name is None or b"\0" not in os.fsencode(name)
+            except UnicodeEncodeError:
+                encodable = False
+            if not encodable:
+                raise ConfigurationError(f"{key} must encode as a path without NUL, got {str(name)!r}")
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
         # the name prefixes every artifact file name, so it must stay one
@@ -199,7 +204,7 @@ class PipelineConfig:
         if "filter" in data and data["filter"] is not None:
             kwargs["filter"] = _parse_filter(data["filter"])
         if "sigma" in data and data["sigma"] is not None:
-            kwargs["sigma"] = _typed(data["sigma"], (int, float), "sigma", "a number")
+            kwargs["sigma"] = _number(data["sigma"], "sigma")
         for key in ("mode", "psnr_reference", "sample_name", "size_label"):
             if key in data and data[key] is not None:
                 kwargs[key] = _typed(data[key], str, key, "a string")
@@ -212,6 +217,14 @@ def _typed(value, types, what: str, expected: str):
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """A config number as a float; an integer beyond the float range is a config error."""
+    try:
+        return float(_typed(value, (int, float), what, "a number"))
+    except OverflowError as exc:
+        raise ConfigurationError(f"{what} must be finite, got an integer too large for a float") from exc
 
 
 def _parse_dims(value, what: str, optional: bool = False) -> Dimensions | None:
@@ -233,7 +246,7 @@ def _parse_weights(value) -> LumaWeights:
         except KeyError as exc:
             raise ConfigurationError(f"luma_weights needs red/green/blue, got {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 3:
-        return LumaWeights(*(float(_typed(w, (int, float), "luma_weights", "three numbers")) for w in value))
+        return LumaWeights(*(_number(w, "luma_weights") for w in value))
     raise ConfigurationError(f"luma_weights must be [red, green, blue], got {value!r}")
 
 
@@ -252,7 +265,7 @@ def _parse_noise(value, default_seed: int) -> NoiseSpec:
     _check_spec(value, "noise", {"kind", "d", "seed"})
     return NoiseSpec(
         kind=value["kind"],
-        d=float(_typed(value.get("d", 0.0), (int, float), "noise d", "a number")),
+        d=_number(value.get("d", 0.0), "noise d"),
         seed=_typed(value.get("seed", default_seed), int, "noise seed", "an integer"),
     )
 
@@ -365,22 +378,15 @@ def _noise_and_filter(cfg: PipelineConfig, plane: PixelBuffer, index: int, slot:
     return noisy, smooth(noisy, cfg.filter.window)
 
 
-def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):
-    """Luma, noise, filter, then equalization when `enhance` is set.
-
-    Returns (output plane, its pre/post histograms or none, PSNR reference).
-    """
+def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int):
+    """Luma, noise, filter; returns (output plane, PSNR reference)."""
     clean = rgb_to_luma(frame, cfg.luma_weights)
     noisy, out = _noise_and_filter(cfg, clean, index, 0)
-    reference = noisy if cfg.psnr_reference == "noisy" else clean
-    if not enhance:
-        return out, (), reference
-    enhanced, hist = enhance_with_diagnostics(out, cfg.sigma)
-    return enhanced, (hist, histogram(enhanced)), reference
+    return out, noisy if cfg.psnr_reference == "noisy" else clean
 
 
-def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bool):
-    """Per-channel noise and filter, then equalization; returns as _gray_path."""
+def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int):
+    """Per-channel noise and filter; returns as _gray_path."""
     out = reference = frame
     if cfg.noise or cfg.filter:
         noisy, smooth = zip(*(
@@ -390,10 +396,7 @@ def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int, enhance: bo
         out = ColorBuffer.from_planes(*smooth)
         if cfg.psnr_reference == "noisy":
             reference = ColorBuffer.from_planes(*noisy)
-    if not enhance:
-        return out, (), reference
-    enhanced = enhance_color(out, cfg.sigma)
-    return enhanced, (color_histogram(out), color_histogram(enhanced)), reference
+    return out, reference
 
 
 # path kind -> (per-frame step, frame file extension)
@@ -436,9 +439,11 @@ def _run_frames(
             outputs = []
             for kind in kinds:
                 step, ext = _PATHS[kind]
-                out, hists, reference = step(cfg, frame, index, enhance)
-                for when, hist in zip(("pre", "post"), hists):
-                    writer.write(export_histogram, hist, f"{name}_{kind}_hist_{when}_{tag}.csv")
+                out, reference = step(cfg, frame, index)
+                if enhance:
+                    out, *hists = enhance_with_diagnostics(out, cfg.sigma)
+                    for when, hist in zip(("pre", "post"), hists):
+                        writer.write(export_histogram, hist, f"{name}_{kind}_hist_{when}_{tag}.csv")
                 path = writer.write(write_image, out, f"{name}_{infix}_{tag}.{ext}")
                 outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
             return outputs

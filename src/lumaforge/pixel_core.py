@@ -1,9 +1,10 @@
 """Frame buffers and the colorimetric/geometric primitives on them.
 
-Intensity samples are 8-bit integers stored row-major. Buffers freeze their
-backing arrays at construction, so values are immutable and every operation
-below is a pure function returning a new buffer; all of it is safe to call
-from any number of concurrent workers.
+Intensity samples are 8-bit integers stored row-major. PixelBuffer (gray)
+and ColorBuffer (RGB) share one body and differ only by their trailing
+channel shape. Buffers freeze their backing arrays at construction, so values
+are immutable and every operation below is a pure function returning a new
+buffer; all of it is safe to call from any number of concurrent workers.
 """
 
 from __future__ import annotations
@@ -54,41 +55,33 @@ class Dimensions:
         return self.rows * self.cols
 
 
-def _validated_u8(data, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.ndim != ndim:
-        raise ConfigurationError(f"{what} expects a {ndim}-d array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ConfigurationError(f"{what} must not be empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ConfigurationError(f"{what} samples must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() > 255:
-        raise ConfigurationError(f"{what} samples must lie in [0, 255]")
-    out = arr.astype(np.uint8, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-class PixelBuffer:
-    """Grayscale frame: a read-only (rows, cols) uint8 grid."""
+class _Frame:
+    """Shared body of both buffer kinds: a read-only uint8 (rows, cols) + _channels grid."""
 
     __slots__ = ("_data",)
+    _channels: tuple[int, ...] = ()
 
     def __init__(self, data):
-        self._data = _validated_u8(data, 2, "PixelBuffer")
+        what = type(self).__name__
+        ndim = 2 + len(self._channels)
+        arr = np.asarray(data)
+        if arr.ndim != ndim:
+            raise ConfigurationError(f"{what} expects a {ndim}-d array, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ConfigurationError(f"{what} must not be empty")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ConfigurationError(f"{what} samples must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() > 255:
+            raise ConfigurationError(f"{what} samples must lie in [0, 255]")
+        if arr.shape[2:] != self._channels:
+            raise ConfigurationError(f"{what} expects {self._channels[0]} channels, got {arr.shape[2]}")
+        self._data = arr.astype(np.uint8, copy=True)
+        self._data.setflags(write=False)
 
     @classmethod
-    def from_samples(cls, dims: Dimensions, samples) -> "PixelBuffer":
-        flat = np.asarray(samples)
-        if flat.size != dims.area:
-            raise ConfigurationError(
-                f"expected {dims.area} samples for {dims.rows}x{dims.cols}, got {flat.size}"
-            )
-        return cls(flat.reshape(dims.rows, dims.cols))
-
-    @classmethod
-    def full(cls, dims: Dimensions, value: int) -> "PixelBuffer":
-        return cls(np.full((dims.rows, dims.cols), value, dtype=np.int64))
+    def full(cls, dims: Dimensions, value):
+        """A constant frame: one level, or for color one (r, g, b) triple."""
+        return cls(np.full((dims.rows, dims.cols) + cls._channels, value, dtype=np.int64))
 
     @property
     def data(self) -> np.ndarray:
@@ -98,30 +91,24 @@ class PixelBuffer:
     def dims(self) -> Dimensions:
         return Dimensions(self._data.shape[0], self._data.shape[1])
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Flat row-major view of the samples."""
-        return self._data.ravel()
-
     def __eq__(self, other):
-        return isinstance(other, PixelBuffer) and np.array_equal(self._data, other._data)
+        return type(other) is type(self) and np.array_equal(self._data, other._data)
 
     def __repr__(self):
-        return f"PixelBuffer({self._data.shape[0]}x{self._data.shape[1]})"
+        return f"{type(self).__name__}({self._data.shape[0]}x{self._data.shape[1]})"
 
 
-class ColorBuffer:
+class PixelBuffer(_Frame):
+    """Grayscale frame: a read-only (rows, cols) uint8 grid."""
+
+    __slots__ = ()
+
+
+class ColorBuffer(_Frame):
     """RGB frame: a read-only (rows, cols, 3) uint8 grid."""
 
-    __slots__ = ("_data",)
-
-    def __init__(self, data):
-        arr = _validated_u8(data, 3, "ColorBuffer")
-        if arr.shape[2] != 3:
-            raise ConfigurationError(
-                f"ColorBuffer expects 3 channels, got {arr.shape[2]}"
-            )
-        self._data = arr
+    __slots__ = ()
+    _channels = (3,)
 
     @classmethod
     def from_planes(cls, red: PixelBuffer, green: PixelBuffer, blue: PixelBuffer) -> "ColorBuffer":
@@ -129,36 +116,11 @@ class ColorBuffer:
             raise ConfigurationError("channel planes must share one set of dimensions")
         return cls(np.stack([red.data, green.data, blue.data], axis=-1))
 
-    @classmethod
-    def full(cls, dims: Dimensions, rgb: tuple[int, int, int]) -> "ColorBuffer":
-        plane = np.empty((dims.rows, dims.cols, 3), dtype=np.int64)
-        plane[..., 0], plane[..., 1], plane[..., 2] = rgb
-        return cls(plane)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @property
-    def dims(self) -> Dimensions:
-        return Dimensions(self._data.shape[0], self._data.shape[1])
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Flat row-major view: one (r, g, b) triple per pixel."""
-        return self._data.reshape(-1, 3)
-
     def channel(self, index: int) -> PixelBuffer:
         return PixelBuffer(self._data[:, :, index])
 
     def planes(self) -> tuple[PixelBuffer, PixelBuffer, PixelBuffer]:
         return self.channel(0), self.channel(1), self.channel(2)
-
-    def __eq__(self, other):
-        return isinstance(other, ColorBuffer) and np.array_equal(self._data, other._data)
-
-    def __repr__(self):
-        return f"ColorBuffer({self._data.shape[0]}x{self._data.shape[1]})"
 
 
 @dataclass(frozen=True)

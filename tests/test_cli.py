@@ -346,6 +346,24 @@ class TestConfigValidation:
         argv = self.run_config(sequence_dir, tmp_path, filter={"kind": "hybrid_median", "window": [3, 5]})
         self.assert_config_error(argv, tmp_path, capsys)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"sigma": 10**400}, {"noise": {"kind": "gaussian", "d": 10**400}}, {"luma_weights": [10**400, 0, 0]}],
+        ids=["sigma", "noise_d", "luma_weights"],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, sequence_dir, capsys, fields):
+        argv = self.run_config(sequence_dir, tmp_path, **fields)
+        self.assert_config_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("field", ["sample_name", "output_dir", "input_dir"])
+    @pytest.mark.parametrize("bad", ["\u0000", "\ud800"], ids=["nul", "lone_surrogate"])
+    def test_name_the_file_system_cannot_encode(self, tmp_path, sequence_dir, capsys, field, bad):
+        value = f"clip{bad}" if field == "sample_name" else f"{tmp_path / field}{bad}"
+        argv = self.run_config(sequence_dir, tmp_path, **{field: value})
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_config_bad_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

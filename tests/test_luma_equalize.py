@@ -11,7 +11,6 @@ from lumaforge import (
     Dimensions,
     Histogram,
     PixelBuffer,
-    color_histogram,
     enhance,
     enhance_color,
     enhance_with_diagnostics,
@@ -158,8 +157,9 @@ class TestEnhance:
         assert len(np.unique(out.data)) <= len(np.unique(arr))
 
     def test_diagnostics_are_attached(self):
-        out, hist = enhance_with_diagnostics(quad_frame())
-        assert hist == histogram(quad_frame())
+        out, pre, post = enhance_with_diagnostics(quad_frame())
+        assert pre == histogram(quad_frame())
+        assert post == histogram(out)
         assert out == enhance(quad_frame())
 
 
@@ -186,6 +186,18 @@ class TestEnhanceColor:
 class TestColorHistogram:
     def test_pools_all_channels(self):
         frame = ColorBuffer(np.array([[[0, 0, 255]]], dtype=np.uint8))
-        hist = color_histogram(frame)
+        hist = histogram(frame)
         assert hist.counts[0] == 2 and hist.counts[255] == 1
         assert hist.area == 3
+
+
+class TestDiagnosticHistograms:
+    """The post histogram is derived from the pre counts and the level maps;
+    it must equal a fresh count over the enhanced frame."""
+
+    @given(st.one_of(frames.map(PixelBuffer), color_frames.map(ColorBuffer)), st.sampled_from(SIGMAS))
+    def test_match_a_recount(self, frame, sigma):
+        out, pre, post = enhance_with_diagnostics(frame, sigma)
+        assert type(out) is type(frame)
+        assert pre == histogram(frame)
+        assert post == histogram(out)

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import block_texture, color_block_texture
 
 import lumaforge.pipeline as pipeline_module
 from lumaforge import (
+    FILTER_KINDS,
+    NOISE_KINDS,
     ColorBuffer,
     ConfigurationError,
     Dimensions,
@@ -65,6 +69,43 @@ def tree_digest(directory):
         if path.is_file():
             digests[str(path.relative_to(directory))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+# Any JSON value: text includes NUL and lone surrogates, and integers go past
+# 2**64 and, negative, past the float range.
+_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+_NUMBER = st.integers() | st.floats() | st.integers(min_value=2**64) | st.integers(max_value=-(2**1024))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _spec(kinds, **fields):
+    """A noise or filter object: a known kind plus any subset of its fields."""
+    return st.fixed_dictionaries({"kind": st.sampled_from(kinds)}, optional=fields)
+
+
+# Per config field: arbitrary JSON, or a value of roughly the right shape, so
+# that the parser gets past the earlier fields and reaches the later ones.
+_FIELD_VALUES = {
+    "resize_to": st.lists(_NUMBER, min_size=2, max_size=2),
+    "luma_weights": st.lists(_NUMBER, min_size=3, max_size=3),
+    "noise": _spec(NOISE_KINDS, d=_NUMBER, seed=_NUMBER),
+    "filter": _spec(FILTER_KINDS, window=st.lists(_NUMBER, min_size=2, max_size=2)),
+    "sigma": _NUMBER,
+    "mode": st.sampled_from(pipeline_module.MODES),
+    "seed": _NUMBER,
+    "psnr_reference": st.sampled_from(pipeline_module.PSNR_REFERENCES),
+    "sample_name": _TEXT,
+    "size_label": _TEXT,
+}
+_CONFIGS = st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries(
+        {"input_dir": _TEXT, "output_dir": _TEXT, **{n: _FIELD_VALUES[n] | _JSON for n in names}}
+    )
+)
 
 
 def small_config(tmp_path, **overrides):
@@ -133,6 +174,16 @@ class TestPipelineConfig:
             PipelineConfig(input_dir=tmp_path, output_dir=tmp_path, mode="sepia")
         with pytest.raises(ConfigurationError):
             PipelineConfig(input_dir=tmp_path, output_dir=tmp_path, psnr_reference="original")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIGS)
+    def test_from_mapping_raises_only_config_errors(self, mapping):
+        assert {"input_dir", "output_dir", *_FIELD_VALUES} == set(PipelineConfig.__dataclass_fields__)
+        try:
+            cfg = PipelineConfig.from_mapping(mapping)
+        except ConfigurationError:
+            return
+        assert len(cfg.digest()) == 64
 
     def test_digest_changes_iff_fields_change(self, tmp_path):
         base = small_config(tmp_path)

@@ -60,17 +60,22 @@ class TestBuffers:
         with pytest.raises(ConfigurationError):
             PixelBuffer(np.zeros((0, 3), dtype=np.uint8))
 
-    def test_from_samples_checks_length(self):
-        with pytest.raises(ConfigurationError):
-            PixelBuffer.from_samples(Dimensions(2, 2), [1, 2, 3])
-        buf = PixelBuffer.from_samples(Dimensions(2, 2), [1, 2, 3, 4])
-        assert buf.data.tolist() == [[1, 2], [3, 4]]
-
     def test_color_channels(self):
         arr = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
         buf = ColorBuffer(arr)
         assert buf.channel(0).data.tolist() == [[0, 3], [6, 9]]
         assert ColorBuffer.from_planes(*buf.planes()) == buf
+
+    def test_messages_and_repr_name_the_buffer_kind(self):
+        with pytest.raises(ConfigurationError, match=r"^PixelBuffer expects a 2-d array, got shape \(2, 2, 3\)$"):
+            PixelBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match=r"^ColorBuffer samples must lie in \[0, 255\]$"):
+            ColorBuffer(np.full((1, 1, 3), 256))
+        with pytest.raises(ConfigurationError, match="^ColorBuffer expects 3 channels, got 4$"):
+            ColorBuffer(np.zeros((2, 2, 4), dtype=np.uint8))
+        assert repr(PixelBuffer.full(Dimensions(2, 3), 7)) == "PixelBuffer(2x3)"
+        assert repr(ColorBuffer.full(Dimensions(2, 3), (1, 2, 3))) == "ColorBuffer(2x3)"
+        assert ColorBuffer.full(Dimensions(1, 2), (1, 2, 3)).data.tolist() == [[[1, 2, 3], [1, 2, 3]]]
 
     def test_color_rejects_wrong_channel_count(self):
         with pytest.raises(ConfigurationError):
@@ -82,10 +87,6 @@ class TestBuffers:
         c = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
         assert a == b and a != c
         assert a != ColorBuffer(np.ones((2, 2, 3), dtype=np.uint8))
-
-    @given(gray_arrays)
-    def test_samples_are_row_major(self, arr):
-        assert np.array_equal(PixelBuffer(arr).samples, arr.ravel())
 
 
 class TestLumaWeights:
