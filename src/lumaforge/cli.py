@@ -237,8 +237,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.table_dir:
         table_dir = Path(args.table_dir)
         table_dir.mkdir(parents=True, exist_ok=True)
-        (table_dir / "table.csv").write_text(csv_text, encoding="ascii")
-        (table_dir / "table.txt").write_text(aligned, encoding="ascii")
+        (table_dir / "table.csv").write_text(csv_text, encoding="utf-8")
+        (table_dir / "table.txt").write_text(aligned, encoding="utf-8")
         print(f"tables: {table_dir / 'table.csv'}, {table_dir / 'table.txt'}")
     return 0
 

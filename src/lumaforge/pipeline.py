@@ -61,6 +61,10 @@ PSNR_REFERENCES = ("clean", "noisy")
 
 DEFAULT_RESIZE = Dimensions(rows=144, cols=176)
 
+# largest rows * cols a config may ask for (a resize target or a filter
+# window): 2**26 samples, 64 MiB per 8-bit plane
+MAX_SAMPLES = 2**26
+
 # <stem>_<zero-padded index>.<pgm|ppm>; ordering is by parsed index
 _FRAME_FILE_RE = re.compile(r"^(?P<stem>.+)_(?P<index>\d+)\.(?P<ext>pgm|ppm)$")
 
@@ -235,7 +239,12 @@ def _parse_dims(value, what: str, optional: bool = False) -> Dimensions | None:
             raise ConfigurationError(f"{what} needs exactly rows and cols, got {value!r}")
         value = [value["rows"], value["cols"]]
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Dimensions(*(_typed(n, int, what, "a pair of integers") for n in value))
+        dims = Dimensions(*(_typed(n, int, what, "a pair of integers") for n in value))
+        if dims.area > MAX_SAMPLES:
+            raise ConfigurationError(
+                f"{what} must have at most {MAX_SAMPLES} samples, got {dims.rows}x{dims.cols}"
+            )
+        return dims
     raise ConfigurationError(f"{what} must be null, [rows, cols], or {{rows, cols}}, got {value!r}")
 
 

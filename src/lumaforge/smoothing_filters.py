@@ -5,15 +5,25 @@ positions contribute intensity 0). The plain median replaces each pixel with
 the middle order statistic of its full window; the hybrid median takes the
 median of three values (the plus-shaped neighborhood median, the X-shaped
 neighborhood median, and the center pixel), which preserves thin lines and
-corners that the plain median erases.
+corners that the plain median erases (Nieminen, Heinonen & Neuvo, IEEE PAMI
+1987).
+
+Both run on one kernel: a selection network of compare-exchanges, each an
+np.minimum or np.maximum of two whole planes, applied to the shifted views of
+the zero-padded frame, one view per window position, so no window is ever
+copied out. The network is Batcher's odd-even merge sort (Batcher, "Sorting
+networks and their applications", AFIPS SJCC 1968) on the inputs padded to a
+power of two with constant-255 wires; the constants are folded out and only
+the comparator halves that reach the wanted output are kept.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .pixel_core import PixelBuffer
@@ -34,25 +44,88 @@ class FilterWindow:
                 raise ConfigurationError(f"window {name} must be odd and >= 1, got {v}")
 
 
-def _padded_windows(data: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _batcher_pairs(size: int):
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on `size` = 2**m wires."""
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(min(k, size - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(n: int, rank: int):
+    """(steps, output id) selecting the rank-th smallest of n inputs.
+
+    The inputs are values 0..n-1. A step (np.minimum or np.maximum, a, b,
+    made, dead) makes value `made` from values a and b, after which the
+    values in `dead` are used no more.
+    """
+    # wires n..size-1 hold the constant 255. A comparator (i, j), i < j, that
+    # touches one has a 255 on its max side j, so it leaves both wires as they
+    # are: the constants never move, and only comparators with j < n remain.
+    size = 1 << (n - 1).bit_length()
+    wires = list(range(n))
+    halves: list[tuple] = []  # halves[v - n] = (ufunc, a, b) makes value v
+    for i, j in _batcher_pairs(size):
+        if j < n:
+            a, b = wires[i], wires[j]
+            wires[i], wires[j] = n + len(halves), n + len(halves) + 1
+            halves += [(np.minimum, a, b), (np.maximum, a, b)]
+
+    # keep only what the output depends on, walking backwards
+    needed = {wires[rank]}
+    kept = []
+    for value in reversed(range(n, n + len(halves))):
+        if value in needed:
+            op, a, b = halves[value - n]
+            kept.append((op, a, b, value))
+            needed.update((a, b))
+    kept.reverse()
+
+    last_use = {}
+    for step, (_, a, b, _) in enumerate(kept):
+        last_use[a] = last_use[b] = step
+    dead = [[] for _ in kept]
+    for value, step in last_use.items():
+        dead[step].append(value)
+    return tuple(step + (tuple(gone),) for step, gone in zip(kept, dead)), wires[rank]
+
+
+def _select(views, rank: int) -> np.ndarray:
+    """Elementwise rank-th smallest (0-based) of same-shaped uint8 arrays.
+
+    Each plane is dropped after its last use, so about len(views)
+    intermediate planes are alive at once.
+    """
+    steps, out = _plan(len(views), rank)
+    planes = dict(enumerate(views))
+    for op, a, b, made, dead in steps:
+        planes[made] = op(planes[a], planes[b])
+        for value in dead:
+            del planes[value]
+    return planes[out]
+
+
+def _shifted_views(data: np.ndarray, rows: int, cols: int, offsets) -> list[np.ndarray]:
+    """The zero-padded frame shifted by each window offset (dr, dc), as views."""
     half_r, half_c = rows // 2, cols // 2
-    padded = np.zeros((data.shape[0] + 2 * half_r, data.shape[1] + 2 * half_c), dtype=data.dtype)
-    padded[half_r:half_r + data.shape[0], half_c:half_c + data.shape[1]] = data
-    return sliding_window_view(padded, (rows, cols))
-
-
-def _lower_median(values: np.ndarray) -> np.ndarray:
-    # lower of the two middle order statistics when the count is even;
-    # the exact middle when odd (the only case reachable with odd windows)
-    n = values.shape[-1]
-    return np.sort(values, axis=-1)[..., (n - 1) // 2]
+    r, c = data.shape[:2]
+    padded = np.zeros((r + 2 * half_r, c + 2 * half_c) + data.shape[2:], dtype=np.uint8)
+    padded[half_r:half_r + r, half_c:half_c + c] = data
+    return [padded[dr:dr + r, dc:dc + c] for dr, dc in offsets]
 
 
 def median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow()) -> PixelBuffer:
     """Replace each pixel with the median of its window; 1x1 is the identity."""
-    wins = _padded_windows(frame.data, window.rows, window.cols)
-    flat = wins.reshape(frame.data.shape[0], frame.data.shape[1], window.rows * window.cols)
-    return PixelBuffer(_lower_median(flat))
+    offsets = itertools.product(range(window.rows), range(window.cols))
+    views = _shifted_views(frame.data, window.rows, window.cols, offsets)
+    return PixelBuffer(_select(views, (len(views) - 1) // 2))
 
 
 def check_hybrid_window(window: FilterWindow) -> None:
@@ -75,16 +148,12 @@ def hybrid_median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow
     check_hybrid_window(window)
     k = window.rows
     half = k // 2
-    span = np.arange(k)
-    off_center = span[span != half]
-
-    plus_r = np.concatenate([np.full(k, half), off_center])
-    plus_c = np.concatenate([span, np.full(k - 1, half)])
-    x_r = np.concatenate([span, off_center])
-    x_c = np.concatenate([span, k - 1 - off_center])
-
-    wins = _padded_windows(frame.data, k, k)
-    m_plus = _lower_median(wins[..., plus_r, plus_c])
-    m_x = _lower_median(wins[..., x_r, x_c])
-    stacked = np.stack([m_plus, m_x, frame.data])
-    return PixelBuffer(np.sort(stacked, axis=0)[1])
+    off_center = [d for d in range(k) if d != half]
+    plus = [(half, d) for d in range(k)] + [(d, half) for d in off_center]
+    cross = [(d, d) for d in range(k)] + [(d, k - 1 - d) for d in off_center]
+    views = _shifted_views(frame.data, k, k, plus + cross)
+    m_plus = _select(views[:len(plus)], k - 1)
+    m_x = _select(views[len(plus):], k - 1)
+    return PixelBuffer(
+        np.maximum(np.minimum(m_plus, m_x), np.minimum(np.maximum(m_plus, m_x), frame.data))
+    )

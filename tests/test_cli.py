@@ -207,6 +207,20 @@ class TestMetricsAndReport:
         assert (tmp_path / "tables" / "table.txt").exists()
         assert "clip0" in capsys.readouterr().out
 
+    def test_report_round_trips_a_non_ascii_name(self, tmp_path, sequence_dir, capsys):
+        assert main([
+            "run",
+            "--input-dir", str(sequence_dir),
+            "--output-dir", str(tmp_path / "out"),
+            "--resize", "none",
+            "--sample-name", "\u00e9",
+        ]) == 0
+        tables = tmp_path / "tables"
+        assert main(["report", str(tmp_path / "out" / "report.json"), "--output-dir", str(tables)]) == 0
+        csv_row = (tables / "table.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert csv_row.split(",")[0] == "\u00e9"
+        assert (tables / "table.txt").read_text(encoding="utf-8").splitlines()[1].split()[0] == "\u00e9"
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, sequence_dir, tmp_path, capsys):
@@ -363,6 +377,17 @@ class TestConfigValidation:
         before = sorted(tmp_path.rglob("*"))
         self.assert_config_error(argv, tmp_path, capsys)
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("dims", [[10**30, 5], [8193, 8193]], ids=["huge", "just_over"])
+    def test_resize_beyond_sample_bound_config(self, tmp_path, sequence_dir, capsys, dims):
+        argv = self.run_config(sequence_dir, tmp_path, resize_to=dims)
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_resize_beyond_sample_bound_flag(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_args(sequence_dir, tmp_path, "--resize", f"{10**30}x5")
+        self.assert_config_error(argv, tmp_path, capsys)
 
     def test_config_bad_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

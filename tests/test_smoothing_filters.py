@@ -15,11 +15,12 @@ from lumaforge import (
     psnr,
     salt_pepper,
 )
+from lumaforge.smoothing_filters import _plan, _select
 
-small_frames = npst.arrays(
-    np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
+frames = npst.arrays(
+    np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)
 )
-odd_sides = st.sampled_from([1, 3, 5])
+odd_sides = st.sampled_from([1, 3, 5, 7, 9])
 
 
 class TestFilterWindow:
@@ -57,7 +58,7 @@ class TestMedianFilter:
         assert out.data[1, 1] == 6
 
     @settings(max_examples=60, deadline=None)
-    @given(small_frames, odd_sides, odd_sides)
+    @given(frames, odd_sides, odd_sides)
     def test_matches_bruteforce_oracle(self, arr, win_rows, win_cols):
         out = median_filter(PixelBuffer(arr), FilterWindow(win_rows, win_cols))
         expected = oracle_median_filter(arr.tolist(), win_rows, win_cols)
@@ -96,7 +97,7 @@ class TestHybridMedianFilter:
         assert np.all(plain.data[2, 1:-1] == 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_frames, st.sampled_from([3, 5]))
+    @given(frames, st.sampled_from([3, 5, 7, 9]))
     def test_matches_bruteforce_oracle(self, arr, side):
         out = hybrid_median_filter(PixelBuffer(arr), FilterWindow(side, side))
         expected = oracle_hybrid_median_filter(arr.tolist(), side)
@@ -134,3 +135,52 @@ class TestSharedProperties:
             if psnr(filtered, clean).psnr_db > psnr(noisy, clean).psnr_db:
                 wins += 1
         assert wins >= 95
+
+
+class TestSelectionNetwork:
+    # the odd n <= 17 cover every plan of that size the filters build:
+    # median windows of up to 17 samples, hybrid sides 3..9 (2k - 1 inputs)
+    @pytest.mark.parametrize("n", range(1, 18, 2))
+    def test_zero_one_principle(self, n):
+        # a comparator network selects the rank-r order statistic of every
+        # input iff it does so for every 0/1 input (Knuth, TAOCP vol. 3, 5.3.4)
+        codes = np.arange(1 << n, dtype=np.uint32)
+        bits = [((codes >> i) & 1).astype(np.uint8) for i in range(n)]
+        rank = (n - 1) // 2
+        out = _select([255 * b for b in bits], rank)
+        highs = np.sum(bits, axis=0)
+        expected = np.where(n - highs > rank, 0, 255)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n", [25, 49])
+    def test_random_vectors_match_sort(self, n):
+        values = np.random.default_rng(n).integers(0, 256, (10_000, n), dtype=np.uint8)
+        rank = (n - 1) // 2
+        out = _select(list(values.T), rank)
+        assert np.array_equal(out, np.sort(values, axis=1)[:, rank])
+
+    def test_every_rank_of_small_inputs(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 12):
+            values = rng.integers(0, 256, (2_000, n), dtype=np.uint8)
+            ordered = np.sort(values, axis=1)
+            for rank in range(n):
+                assert np.array_equal(_select(list(values.T), rank), ordered[:, rank])
+
+    @pytest.mark.parametrize("n", [9, 25, 81, 961])
+    def test_intermediates_are_dropped_after_last_use(self, n):
+        steps, out = _plan(n, (n - 1) // 2)
+        live, peak = set(), 0  # intermediate planes; the inputs are views
+        for _, a, b, made, dead in steps:
+            assert all(value < n or value in live for value in (a, b))
+            live.add(made)
+            peak = max(peak, len(live))
+            live.difference_update(dead)
+        assert live == {out}
+        assert peak <= n + 2
+
+    def test_folded_3x3_plan_size(self):
+        # 9 inputs pad to 16 wires; folding the 7 constant wires and pruning
+        # to the middle output leaves 40 of Batcher's 2 x 63 min/max halves
+        steps, _ = _plan(9, 4)
+        assert len(steps) == 40
