@@ -7,6 +7,9 @@ gaussian and speckle; poisson is signal-dependent and takes no level. Every
 variate comes from a counter-based stream, so the value at pixel i depends only
 on (seed, i, kind, d) and, for the signal-dependent kinds, on that pixel's own
 clean value, never on its neighbors.
+
+Every model takes a gray or a color frame. A gray plane draws from the seed
+itself; channel c of a color frame draws from derive_seed(seed, c + 1).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .pixel_core import PixelBuffer, round_half_up
-from .rng import U64_MAX, site_normals, site_uniforms
+from .pixel_core import ColorBuffer, PixelBuffer, round_half_up
+from .rng import U64_MAX, derive_seed, site_normals, site_uniforms
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
 
@@ -51,58 +54,79 @@ class NoiseSpec:
         # poisson: d is recorded but unused; apply_noise warns when it is nonzero
 
 
-def apply_noise(frame: PixelBuffer, spec: NoiseSpec) -> PixelBuffer:
-    """Dispatch to the model named by the spec.
+def apply_noise(frame: PixelBuffer | ColorBuffer, spec: NoiseSpec) -> PixelBuffer | ColorBuffer:
+    """Apply the model named by the spec to a gray or a color frame.
 
-    Identical (frame, spec) inputs always produce identical output buffers.
+    The model runs one plane at a time, so a color frame holds no more float
+    temporaries at once than a gray one. Identical (frame, spec) inputs always
+    produce identical output buffers.
     """
-    if spec.kind == "salt_pepper":
-        return salt_pepper(frame, spec.d, spec.seed)
-    if spec.kind == "gaussian":
-        return gaussian(frame, spec.d, spec.seed)
     if spec.kind == "poisson":
         if spec.d != 0:
-            warnings.warn(
-                f"poisson noise is signal-dependent; level d={spec.d!r} is ignored",
-                stacklevel=2,
-            )
-        return poisson(frame, spec.seed)
-    if spec.kind == "speckle":
-        return speckle(frame, spec.d, spec.seed)
-    raise ConfigurationError(f"unknown noise kind {spec.kind!r}")
+            warnings.warn(f"poisson noise is signal-dependent; level d={spec.d!r} is ignored", stacklevel=2)
+    elif spec.d == 0:
+        # d = 0 is the identity; salt_pepper would still salt a uniform of exactly 1.0
+        return frame
+    kernel = _KERNELS[spec.kind]
+    data = frame.data
+    if data.ndim == 2:
+        return type(frame)(kernel(data, spec.d, spec.seed))
+    out = np.empty_like(data)
+    for c in range(data.shape[2]):
+        out[..., c] = kernel(data[..., c], spec.d, derive_seed(spec.seed, c + 1))
+    return type(frame)(out)
 
 
-def salt_pepper(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:
+def salt_pepper(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffer | ColorBuffer:
     """Replace each pixel, independently with probability d, by 0 or 255.
 
     Pepper (0) and salt (255) are equally likely at d/2 each. d = 0 is the
     identity; d = 1 forces every pixel to an extreme.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ConfigurationError(f"salt_pepper density must lie in [0, 1], got {d}")
-    if d == 0:
-        # a uniform of exactly 1.0 would still pass the salt test below
-        return frame
-    out = frame.data.copy()
-    u = site_uniforms(seed, out.size).reshape(out.shape)
-    out[u < d / 2.0] = 0
-    out[u >= 1.0 - d / 2.0] = 255
-    return PixelBuffer(out)
+    return apply_noise(frame, NoiseSpec("salt_pepper", d, seed))
 
 
-def gaussian(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:
+def gaussian(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffer | ColorBuffer:
     """Add zero-mean gaussian noise of variance d in normalized intensity.
 
     Per pixel: clamp(x/255 + n, 0, 1) with n ~ Normal(0, d), re-quantized by
     round-half-up. Clamping skews an all-black frame positive, as expected.
     """
-    if d < 0:
-        raise ConfigurationError(f"gaussian variance must be nonnegative, got {d}")
-    if d == 0:
-        return PixelBuffer(frame.data)
-    noise = np.sqrt(d) * site_normals(seed, frame.data.size).reshape(frame.data.shape)
-    level = np.clip(frame.data / 255.0 + noise, 0.0, 1.0)
-    return PixelBuffer(round_half_up(255.0 * level).astype(np.uint8))
+    return apply_noise(frame, NoiseSpec("gaussian", d, seed))
+
+
+def poisson(frame: PixelBuffer | ColorBuffer, seed: int) -> PixelBuffer | ColorBuffer:
+    """Draw each output from Poisson(lambda = clean 8-bit value), clamped to 255.
+
+    Inverts the tabulated CDF of the clamped Poisson with one uniform per
+    pixel: the output is the smallest k with cdf[lambda, k] >= u, found by a
+    short upward walk from the guide-table start. Pixel i's output depends
+    only on (seed, i, lambda_i), never on its neighbors. An all-zero frame is
+    a fixed point.
+    """
+    return apply_noise(frame, NoiseSpec("poisson", 0.0, seed))
+
+
+def speckle(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffer | ColorBuffer:
+    """Multiplicative noise: x' = clamp(x/255 * (1 + n), 0, 1), requantized.
+
+    n is uniform on [-sqrt(3d), +sqrt(3d)], i.e. zero-mean with variance d.
+    """
+    return apply_noise(frame, NoiseSpec("speckle", d, seed))
+
+
+def _salt_pepper(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
+    out = plane.copy()
+    u = site_uniforms(seed, out.size).reshape(out.shape)
+    out[u < d / 2.0] = 0
+    out[u >= 1.0 - d / 2.0] = 255
+    return out
+
+
+def _gaussian(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
+    noise = np.sqrt(d) * site_normals(seed, plane.size).reshape(plane.shape)
+    level = np.clip(plane / 255.0 + noise, 0.0, 1.0)
+    return round_half_up(255.0 * level).astype(np.uint8)
 
 
 @functools.cache
@@ -133,17 +157,9 @@ def _poisson_tables() -> tuple[np.ndarray, np.ndarray]:
     return cdf, guide
 
 
-def poisson(frame: PixelBuffer, seed: int) -> PixelBuffer:
-    """Draw each output from Poisson(lambda = clean 8-bit value), clamped to 255.
-
-    Inverts the tabulated CDF of the clamped Poisson with one uniform per
-    pixel: the output is the smallest k with cdf[lambda, k] >= u, found by a
-    short upward walk from the guide-table start. Pixel i's output depends
-    only on (seed, i, lambda_i), never on its neighbors. An all-zero frame is
-    a fixed point.
-    """
+def _poisson(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
     cdf, guide = _poisson_tables()
-    row = frame.data.ravel().astype(np.intp) << 8
+    row = plane.ravel().astype(np.intp) << 8
     u = site_uniforms(seed, row.size)
     # u can round to exactly 1.0; masking sends it to cutpoint 0, a valid
     # (if longer) start for any u
@@ -152,19 +168,15 @@ def poisson(frame: PixelBuffer, seed: int) -> PixelBuffer:
     while pending.size:
         at[pending] += 1
         pending = pending[cdf[at[pending]] < u[pending]]
-    return PixelBuffer((at - row).astype(np.uint8).reshape(frame.data.shape))
+    return (at - row).astype(np.uint8).reshape(plane.shape)
 
 
-def speckle(frame: PixelBuffer, d: float, seed: int) -> PixelBuffer:
-    """Multiplicative noise: x' = clamp(x/255 * (1 + n), 0, 1), requantized.
-
-    n is uniform on [-sqrt(3d), +sqrt(3d)], i.e. zero-mean with variance d.
-    """
-    if d < 0:
-        raise ConfigurationError(f"speckle variance must be nonnegative, got {d}")
-    if d == 0:
-        return PixelBuffer(frame.data)
-    u = site_uniforms(seed, frame.data.size).reshape(frame.data.shape)
+def _speckle(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
+    u = site_uniforms(seed, plane.size).reshape(plane.shape)
     noise = (2.0 * u - 1.0) * np.sqrt(3.0 * d)
-    level = np.clip(frame.data / 255.0 * (1.0 + noise), 0.0, 1.0)
-    return PixelBuffer(round_half_up(255.0 * level).astype(np.uint8))
+    level = np.clip(plane / 255.0 * (1.0 + noise), 0.0, 1.0)
+    return round_half_up(255.0 * level).astype(np.uint8)
+
+
+# kind -> kernel: one uint8 plane, the level d and the plane's seed in, one uint8 plane out
+_KERNELS = {"salt_pepper": _salt_pepper, "gaussian": _gaussian, "poisson": _poisson, "speckle": _speckle}

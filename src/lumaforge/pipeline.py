@@ -3,13 +3,14 @@
 A run checks the headers of a frame sequence, then a pool of workers decodes,
 processes and writes one frame at a time, so memory grows with the worker
 count and not with the sequence length. Each frame is optionally resized,
-then takes the grayscale path (luminance extraction), the color path
-(per-channel processing), or both: optional noise injection, optional
-median/hybrid-median smoothing, brightness equalization, and pooled PSNR of
-the result against the clean pre-noise reference. Artifacts per run: one
-enhanced frame per input frame and path, pre/post-enhancement histogram CSVs,
-and a single metrics report JSON. A single-stage run (run_stage) is the same
-frame loop with the other steps switched off and no PSNR or report.
+then takes the grayscale path (its luminance plane), the color path (the RGB
+frame itself), or both. Each path runs the same steps: optional noise
+injection, optional median/hybrid-median smoothing, brightness equalization,
+and pooled PSNR of the result against the clean pre-noise reference.
+Artifacts per run: one enhanced frame per input frame and path, pre/post-
+enhancement histogram CSVs, and a single metrics report JSON. A single-stage
+run (run_stage) is the same frame loop with the other steps switched off and
+no PSNR or report.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -308,7 +309,7 @@ class FrameSequence:
         if image.dims != self.dims:
             raise IngestionError(f"{self.paths[index].name}: frame dims changed since ingestion")
         if isinstance(image, PixelBuffer):
-            image = ColorBuffer.from_planes(image, image, image)
+            image = ColorBuffer(image.data[..., None].repeat(3, axis=2))
         return image
 
 
@@ -375,41 +376,18 @@ class _ArtifactWriter:
             path.unlink(missing_ok=True)
 
 
-def _noise_and_filter(cfg: PipelineConfig, plane: PixelBuffer, index: int, slot: int):
-    """(noisy, smoothed) for one plane; either step is skipped when cfg has none."""
-    noisy = plane
+def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
+    """Luma (gray path only), noise, filter; returns (output, PSNR reference)."""
+    clean = rgb_to_luma(frame, cfg.luma_weights) if kind == "gray" else frame
+    noisy = out = clean
     if cfg.noise:
-        # slot 0 = grayscale plane, 1..3 = R, G, B channels
-        noisy = apply_noise(plane, replace(cfg.noise, seed=derive_seed(cfg.noise.seed, index, slot)))
-    if not cfg.filter:
-        return noisy, noisy
-    smooth = median_filter if cfg.filter.kind == "median" else hybrid_median_filter
-    return noisy, smooth(noisy, cfg.filter.window)
-
-
-def _gray_path(cfg: PipelineConfig, frame: ColorBuffer, index: int):
-    """Luma, noise, filter; returns (output plane, PSNR reference)."""
-    clean = rgb_to_luma(frame, cfg.luma_weights)
-    noisy, out = _noise_and_filter(cfg, clean, index, 0)
+        # gray draws from stream slot 0; apply_noise gives color channel c slot c + 1
+        ids = (index, 0) if kind == "gray" else (index,)
+        noisy = out = apply_noise(clean, replace(cfg.noise, seed=derive_seed(cfg.noise.seed, *ids)))
+    if cfg.filter:
+        smooth = median_filter if cfg.filter.kind == "median" else hybrid_median_filter
+        out = smooth(noisy, cfg.filter.window)
     return out, noisy if cfg.psnr_reference == "noisy" else clean
-
-
-def _color_path(cfg: PipelineConfig, frame: ColorBuffer, index: int):
-    """Per-channel noise and filter; returns as _gray_path."""
-    out = reference = frame
-    if cfg.noise or cfg.filter:
-        noisy, smooth = zip(*(
-            _noise_and_filter(cfg, plane, index, slot)
-            for slot, plane in enumerate(frame.planes(), start=1)
-        ))
-        out = ColorBuffer.from_planes(*smooth)
-        if cfg.psnr_reference == "noisy":
-            reference = ColorBuffer.from_planes(*noisy)
-    return out, reference
-
-
-# path kind -> (per-frame step, frame file extension)
-_PATHS = {"gray": (_gray_path, "pgm"), "color": (_color_path, "ppm")}
 
 
 def _run_frames(
@@ -437,7 +415,7 @@ def _run_frames(
     name = cfg.sample_name or sequence.name
     pad = max(3, len(str(len(sequence.paths) - 1)))
     mode = sequence.native_kind if native else cfg.mode
-    kinds = [kind for kind in _PATHS if mode in (kind, "both")]
+    kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]
 
     def work(index: int):
         try:
@@ -446,9 +424,8 @@ def _run_frames(
                 frame = resize_nearest(frame, cfg.resize_to)
             tag = f"{index:0{pad}d}"
             outputs = []
-            for kind in kinds:
-                step, ext = _PATHS[kind]
-                out, reference = step(cfg, frame, index)
+            for kind, ext in kinds:
+                out, reference = _path(cfg, frame, index, kind)
                 if enhance:
                     out, *hists = enhance_with_diagnostics(out, cfg.sigma)
                     for when, hist in zip(("pre", "post"), hists):
@@ -519,7 +496,7 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
     """Run a single stage over the input frames and write the results.
 
     Stages operate in the sequence's native kind (PGM sources stay grayscale,
-    PPM sources are processed per channel), except `luma`, which always writes
+    PPM sources stay color), except `luma`, which always writes
     grayscale. `enhance` additionally writes pre/post histogram CSVs. Returns
     the written frame paths in index order.
     """

@@ -14,7 +14,8 @@ the zero-padded frame, one view per window position, so no window is ever
 copied out. The network is Batcher's odd-even merge sort (Batcher, "Sorting
 networks and their applications", AFIPS SJCC 1968) on the inputs padded to a
 power of two with constant-255 wires; the constants are folded out and only
-the comparator halves that reach the wanted output are kept.
+the comparator halves that reach the wanted output are kept. A color frame
+takes the same network with its channels as a trailing axis.
 """
 
 from __future__ import annotations
@@ -26,22 +27,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .pixel_core import PixelBuffer
+from .pixel_core import ColorBuffer, PixelBuffer
 
 __all__ = ["FilterWindow", "check_hybrid_window", "median_filter", "hybrid_median_filter"]
+
+# largest window side: past 31x31 (n = 961) a cached plan takes seconds and tens of MB
+MAX_WINDOW_SIDE = 31
 
 
 @dataclass(frozen=True)
 class FilterWindow:
-    """Window extent in rows x cols; both must be odd and at least 1."""
+    """Window extent in rows x cols; both must be odd, at least 1 and at most MAX_WINDOW_SIDE."""
 
     rows: int = 3
     cols: int = 3
 
     def __post_init__(self):
         for name, v in (("rows", self.rows), ("cols", self.cols)):
-            if v < 1 or v % 2 == 0:
-                raise ConfigurationError(f"window {name} must be odd and >= 1, got {v}")
+            if v < 1 or v % 2 == 0 or v > MAX_WINDOW_SIDE:
+                raise ConfigurationError(f"window {name} must be odd and in 1..{MAX_WINDOW_SIDE}, got {v}")
 
 
 def _batcher_pairs(size: int):
@@ -121,11 +125,13 @@ def _shifted_views(data: np.ndarray, rows: int, cols: int, offsets) -> list[np.n
     return [padded[dr:dr + r, dc:dc + c] for dr, dc in offsets]
 
 
-def median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow()) -> PixelBuffer:
-    """Replace each pixel with the median of its window; 1x1 is the identity."""
+def median_filter(
+    frame: PixelBuffer | ColorBuffer, window: FilterWindow = FilterWindow()
+) -> PixelBuffer | ColorBuffer:
+    """Replace each sample with the median of its window; 1x1 is the identity."""
     offsets = itertools.product(range(window.rows), range(window.cols))
     views = _shifted_views(frame.data, window.rows, window.cols, offsets)
-    return PixelBuffer(_select(views, (len(views) - 1) // 2))
+    return type(frame)(_select(views, (len(views) - 1) // 2))
 
 
 def check_hybrid_window(window: FilterWindow) -> None:
@@ -138,7 +144,9 @@ def check_hybrid_window(window: FilterWindow) -> None:
         raise ConfigurationError(f"hybrid median needs window side >= 3, got {window.rows}")
 
 
-def hybrid_median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow()) -> PixelBuffer:
+def hybrid_median_filter(
+    frame: PixelBuffer | ColorBuffer, window: FilterWindow = FilterWindow()
+) -> PixelBuffer | ColorBuffer:
     """Median of {plus-neighborhood median, X-neighborhood median, center}.
 
     The plus neighborhood is the window's center row and center column; the X
@@ -154,6 +162,6 @@ def hybrid_median_filter(frame: PixelBuffer, window: FilterWindow = FilterWindow
     views = _shifted_views(frame.data, k, k, plus + cross)
     m_plus = _select(views[:len(plus)], k - 1)
     m_x = _select(views[len(plus):], k - 1)
-    return PixelBuffer(
+    return type(frame)(
         np.maximum(np.minimum(m_plus, m_x), np.minimum(np.maximum(m_plus, m_x), frame.data))
     )

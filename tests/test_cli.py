@@ -389,6 +389,20 @@ class TestConfigValidation:
         argv = self.run_args(sequence_dir, tmp_path, "--resize", f"{10**30}x5")
         self.assert_config_error(argv, tmp_path, capsys)
 
+    @pytest.mark.parametrize("kind", ["median", "hybrid_median"])
+    def test_window_beyond_side_bound_flag(self, tmp_path, sequence_dir, capsys, kind):
+        argv = self.run_args(sequence_dir, tmp_path, "--filter-kind", kind, "--window", "33x33")
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["median", "hybrid_median"])
+    def test_window_beyond_side_bound_config(self, tmp_path, sequence_dir, capsys, kind):
+        argv = self.run_config(sequence_dir, tmp_path, filter={"kind": kind, "window": [33, 33]})
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_config_bad_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

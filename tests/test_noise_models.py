@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from lumaforge import (
+    NOISE_KINDS,
+    ColorBuffer,
     ConfigurationError,
     Dimensions,
     NoiseSpec,
@@ -20,12 +23,14 @@ from lumaforge import (
     speckle,
 )
 from lumaforge import noise_models
-from lumaforge.rng import site_uniforms
+from lumaforge.rng import derive_seed, site_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
 small_frames = npst.arrays(
     np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
 )
+small_color_frames = npst.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)))
+LEVELS = {"salt_pepper": 0.25, "gaussian": 0.01, "poisson": 0.0, "speckle": 0.05}
 
 
 def mid_gray(rows=256, cols=256):
@@ -64,6 +69,19 @@ class TestDispatch:
         assert apply_noise(frame, NoiseSpec("speckle", 0.02, 9)) == speckle(frame, 0.02, 9)
         assert apply_noise(frame, NoiseSpec("poisson", 0.0, 9)) == poisson(frame, 9)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [salt_pepper, gaussian, speckle])
+    def test_direct_calls_reject_a_non_finite_level(self, model, d):
+        with pytest.raises(ConfigurationError, match="finite"):
+            model(mid_gray(4, 4), d, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_direct_calls_reject_a_seed_out_of_range(self, seed):
+        for call in (lambda f: salt_pepper(f, 0.1, seed), lambda f: gaussian(f, 0.01, seed),
+                     lambda f: speckle(f, 0.01, seed), lambda f: poisson(f, seed)):
+            with pytest.raises(ConfigurationError, match="seed"):
+                call(mid_gray(4, 4))
+
     def test_poisson_warns_when_d_nonzero(self):
         frame = PixelBuffer(np.zeros((4, 4), dtype=np.uint8))
         with pytest.warns(UserWarning, match="ignored"):
@@ -82,6 +100,29 @@ class TestDispatch:
         out = apply_noise(PixelBuffer(arr), NoiseSpec(kind, 0.5, seed))
         assert out.data.shape == arr.shape
         assert out.data.dtype == np.uint8  # dtype bounds the range by construction
+
+
+class TestChannelAxis:
+    """A color frame is noised channel by channel, channel c on stream slot c + 1."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(arr=small_color_frames, seed=seeds)
+    def test_channel_c_is_the_plane_noised_on_slot_c_plus_1(self, kind, arr, seed):
+        spec = NoiseSpec(kind, LEVELS[kind], seed)
+        out = apply_noise(ColorBuffer(arr), spec)
+        assert isinstance(out, ColorBuffer)
+        for c in range(3):
+            plane = apply_noise(PixelBuffer(arr[..., c]), replace(spec, seed=derive_seed(seed, c + 1)))
+            assert np.array_equal(out.data[..., c], plane.data)
+
+    def test_public_models_take_color_frames(self):
+        frame = ColorBuffer(np.full((8, 8, 3), 128, dtype=np.uint8))
+        assert salt_pepper(frame, 0.3, 4) == apply_noise(frame, NoiseSpec("salt_pepper", 0.3, 4))
+        assert gaussian(frame, 0.02, 4) == apply_noise(frame, NoiseSpec("gaussian", 0.02, 4))
+        assert speckle(frame, 0.02, 4) == apply_noise(frame, NoiseSpec("speckle", 0.02, 4))
+        assert poisson(frame, 4) == apply_noise(frame, NoiseSpec("poisson", 0.0, 4))
+        assert salt_pepper(frame, 0.0, 4) == frame
 
 
 class TestSaltPepper:

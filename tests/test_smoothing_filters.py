@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as npst
 
 from _oracles import oracle_hybrid_median_filter, oracle_median_filter
 from lumaforge import (
+    ColorBuffer,
     ConfigurationError,
     FilterWindow,
     PixelBuffer,
@@ -15,12 +16,13 @@ from lumaforge import (
     psnr,
     salt_pepper,
 )
-from lumaforge.smoothing_filters import _plan, _select
+from lumaforge.smoothing_filters import MAX_WINDOW_SIDE, _plan, _select
 
 frames = npst.arrays(
     np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)
 )
 odd_sides = st.sampled_from([1, 3, 5, 7, 9])
+color_frames = npst.arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20), st.just(3)))
 
 
 class TestFilterWindow:
@@ -28,6 +30,15 @@ class TestFilterWindow:
     def test_rejects_even_or_nonpositive(self, rows, cols):
         with pytest.raises(ConfigurationError):
             FilterWindow(rows, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(33, 1), (1, 33), (33, 33)])
+    def test_rejects_a_side_beyond_the_bound(self, rows, cols):
+        with pytest.raises(ConfigurationError, match=f"1..{MAX_WINDOW_SIDE}"):
+            FilterWindow(rows, cols)
+
+    def test_accepts_the_largest_side(self):
+        assert MAX_WINDOW_SIDE == 31
+        assert FilterWindow(31, 31).rows == 31
 
     def test_default_is_3x3(self):
         assert FilterWindow() == FilterWindow(3, 3)
@@ -102,6 +113,19 @@ class TestHybridMedianFilter:
         out = hybrid_median_filter(PixelBuffer(arr), FilterWindow(side, side))
         expected = oracle_hybrid_median_filter(arr.tolist(), side)
         assert out.data.tolist() == expected
+
+
+class TestColorFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(color_frames, odd_sides, odd_sides, st.sampled_from([3, 5, 7]))
+    def test_filters_each_channel_on_its_own(self, arr, win_rows, win_cols, side):
+        frame = ColorBuffer(arr)
+        for filt, window in ((median_filter, FilterWindow(win_rows, win_cols)),
+                             (hybrid_median_filter, FilterWindow(side, side))):
+            out = filt(frame, window)
+            assert isinstance(out, ColorBuffer)
+            for c in range(3):
+                assert out.data[..., c].tolist() == filt(PixelBuffer(arr[..., c]), window).data.tolist()
 
 
 class TestSharedProperties:
