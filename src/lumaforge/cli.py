@@ -19,9 +19,11 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
+from .noise_models import NOISE_KINDS
 from .pipeline import (
     FILTER_KINDS,
     MODES,
+    PSNR_REFERENCES,
     PipelineConfig,
     ingest_frames,
     report_table,
@@ -43,26 +45,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _parse_size(text: str, what: str):
+def _parse_size(text: str):
     if text.lower() == "none":
         return None
     parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigurationError(f"{what} must look like ROWSxCOLS or 'none', got {text!r}")
     try:
-        return [int(parts[0]), int(parts[1])]
+        rows, cols = map(int, parts)
     except ValueError as exc:
-        raise ConfigurationError(f"{what} must be integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"must be ROWSxCOLS integers or 'none', got {text!r}") from exc
+    return [rows, cols]
 
 
 def _parse_weight_list(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigurationError(f"--luma-weights must be RED,GREEN,BLUE, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        red, green, blue = map(float, text.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"--luma-weights must be numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"must be three numbers RED,GREEN,BLUE, got {text!r}") from exc
+    return [red, green, blue]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -71,24 +70,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=_SUPPRESS, help="worker count (default 1)")
 
 
+# flag, config key ("section.field" inside noise or filter), type, choices, help
+_OVERRIDES = (
+    ("--input-dir", "input_dir", str, None, "frame directory"),
+    ("--output-dir", "output_dir", str, None, "artifact directory"),
+    ("--resize", "resize_to", _parse_size, None, "ROWSxCOLS target, or 'none' to disable"),
+    ("--luma-weights", "luma_weights", _parse_weight_list, None, "RED,GREEN,BLUE"),
+    ("--noise-kind", "noise.kind", str, None, "|".join(NOISE_KINDS) + ", or 'none' to disable"),
+    ("--noise-d", "noise.d", float, None, "noise level"),
+    ("--noise-seed", "noise.seed", int, None, "noise stream seed"),
+    ("--filter-kind", "filter.kind", str, None, "|".join(FILTER_KINDS) + ", or 'none' to disable"),
+    ("--window", "filter.window", _parse_size, None, "filter window ROWSxCOLS"),
+    ("--sigma", "sigma", float, None, "equalization weight (default 0)"),
+    ("--mode", "mode", str, MODES, "processing path"),
+    ("--psnr-reference", "psnr_reference", str, PSNR_REFERENCES, "frame PSNR is measured against"),
+    ("--sample-name", "sample_name", str, None, "report sample name"),
+    ("--size-label", "size_label", str, None, "source size metadata"),
+)
+
+
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input-dir", dest="input_dir", default=_SUPPRESS, help="frame directory")
-    parser.add_argument("--output-dir", dest="output_dir", default=_SUPPRESS, help="artifact directory")
-    parser.add_argument("--resize", default=_SUPPRESS, help="ROWSxCOLS target, or 'none' to disable")
-    parser.add_argument("--luma-weights", dest="luma_weights", default=_SUPPRESS, help="RED,GREEN,BLUE")
-    parser.add_argument("--noise-kind", dest="noise_kind", default=_SUPPRESS,
-                        help="salt_pepper|gaussian|poisson|speckle, or 'none' to disable")
-    parser.add_argument("--noise-d", dest="noise_d", type=float, default=_SUPPRESS, help="noise level")
-    parser.add_argument("--noise-seed", dest="noise_seed", type=int, default=_SUPPRESS, help="noise stream seed")
-    parser.add_argument("--filter-kind", dest="filter_kind", default=_SUPPRESS,
-                        help="|".join(FILTER_KINDS) + ", or 'none' to disable")
-    parser.add_argument("--window", default=_SUPPRESS, help="filter window ROWSxCOLS")
-    parser.add_argument("--sigma", type=float, default=_SUPPRESS, help="equalization weight (default 0)")
-    parser.add_argument("--mode", choices=MODES, default=_SUPPRESS, help="processing path")
-    parser.add_argument("--psnr-reference", dest="psnr_reference", choices=["clean", "noisy"],
-                        default=_SUPPRESS, help="frame PSNR is measured against")
-    parser.add_argument("--sample-name", dest="sample_name", default=_SUPPRESS, help="report sample name")
-    parser.add_argument("--size-label", dest="size_label", default=_SUPPRESS, help="source size metadata")
+    for flag, key, convert, choices, text in _OVERRIDES:
+        # the metavar argparse would derive from the flag, not from the dotted key
+        metavar = None if choices else flag[2:].upper().replace("-", "_")
+        parser.add_argument(flag, dest=key, type=convert, choices=choices, metavar=metavar,
+                            default=_SUPPRESS, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,36 +150,19 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
             raise ConfigurationError(f"{config_path}: config must be a JSON object")
         mapping = data
 
-    for key in ("input_dir", "output_dir", "sigma", "mode", "psnr_reference",
-                "sample_name", "size_label"):
-        if hasattr(args, key):
-            mapping[key] = getattr(args, key)
-    if hasattr(args, "resize"):
-        mapping["resize_to"] = _parse_size(args.resize, "--resize")
-    if hasattr(args, "luma_weights"):
-        mapping["luma_weights"] = _parse_weight_list(args.luma_weights)
-
-    if hasattr(args, "noise_kind") and args.noise_kind == "none":
-        mapping["noise"] = None
-    elif any(hasattr(args, k) for k in ("noise_kind", "noise_d", "noise_seed")):
-        noise = dict(mapping.get("noise") or {})
-        if hasattr(args, "noise_kind"):
-            noise["kind"] = args.noise_kind
-        if hasattr(args, "noise_d"):
-            noise["d"] = args.noise_d
-        if hasattr(args, "noise_seed"):
-            noise["seed"] = args.noise_seed
-        mapping["noise"] = noise
-
-    if hasattr(args, "filter_kind") and args.filter_kind == "none":
-        mapping["filter"] = None
-    elif any(hasattr(args, k) for k in ("filter_kind", "window")):
-        filt = dict(mapping.get("filter") or {})
-        if hasattr(args, "filter_kind"):
-            filt["kind"] = args.filter_kind
-        if hasattr(args, "window"):
-            filt["window"] = _parse_size(args.window, "--window")
-        mapping["filter"] = filt
+    flags = vars(args)
+    for _, key, *_ in _OVERRIDES:
+        if key not in flags:
+            continue
+        section, dot, field = key.partition(".")
+        if not dot:
+            mapping[key] = flags[key]
+        elif flags.get(f"{section}.kind") == "none":
+            mapping[section] = None
+        else:
+            # a section the file got wrong stays as it is, for from_mapping to reject
+            base = mapping.get(section) or {}
+            mapping[section] = {**base, field: flags[key]} if isinstance(base, dict) else base
 
     if hasattr(args, "seed"):
         mapping["seed"] = args.seed

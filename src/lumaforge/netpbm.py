@@ -10,6 +10,7 @@ length.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ from .pixel_core import ColorBuffer, Dimensions, PixelBuffer
 
 __all__ = ["encode_image", "decode_image", "write_image", "read_image", "read_dims"]
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# The whole header grammar. Before the magic, and before each of width,
+# height and maxval, any run of whitespace and comments; a comment runs from
+# '#' through the next newline. Then exactly one whitespace byte. In a bytes
+# pattern \s is the netpbm whitespace set and \d the ASCII digits. Each
+# separator has one parse, so a failed match backtracks in linear time.
+_SEP = rb"(?:\s|#[^\n]*\n)"
+_HEADER = re.compile(rb"%s*(P[56])%s+(\d+)%s+(\d+)%s+(\d+)\s" % ((_SEP,) * 4))
 _HEADER_PROBE_BYTES = 512
 
 
@@ -36,70 +43,28 @@ def encode_image(frame) -> bytes:
     return header + frame.data.tobytes()
 
 
-class _HeaderScanner:
-    """Token reader over the netpbm header bytes; skips whitespace and comments."""
-
-    def __init__(self, data: bytes, name: str):
-        self.data = data
-        self.pos = 0
-        self.name = name
-
-    def _fail(self, why: str):
-        raise IngestionError(f"{self.name}: malformed netpbm header: {why}")
-
-    def token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            byte = data[self.pos:self.pos + 1]
-            if byte in (b"#",):
-                while self.pos < n and data[self.pos:self.pos + 1] != b"\n":
-                    self.pos += 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                break
-        start = self.pos
-        while self.pos < n and data[self.pos:self.pos + 1] not in _WHITESPACE:
-            self.pos += 1
-        if start == self.pos:
-            self._fail("unexpected end of header")
-        return data[start:self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self._fail(f"non-numeric {what}: {tok!r}")
-
-    def payload_offset(self) -> int:
-        # exactly one whitespace byte separates maxval from the raw samples
-        if self.pos >= len(self.data) or self.data[self.pos:self.pos + 1] not in _WHITESPACE:
-            self._fail("missing whitespace before sample data")
-        return self.pos + 1
-
-
 def _parse_header(data: bytes, name: str, size: int) -> tuple[int, Dimensions, int]:
     """(channels, dims, payload offset) of the netpbm header that starts data.
 
     size is the length of the whole file, which must end with the payload.
     """
-    scanner = _HeaderScanner(data, name)
-    magic = scanner.token()
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise IngestionError(f"{name}: unsupported netpbm magic {magic!r} (need P5 or P6)")
-    cols = scanner.int_token("width")
-    rows = scanner.int_token("height")
-    maxval = scanner.int_token("maxval")
+    match = _HEADER.match(data)
+    if match is None:
+        raise IngestionError(
+            f"{name}: malformed netpbm header: need P5 or P6, width, height and maxval, "
+            "each after whitespace or comments, then one whitespace byte"
+        )
+    magic, *numbers = match.groups()
+    try:
+        cols, rows, maxval = map(int, numbers)
+    except ValueError as exc:  # more digits than int() converts
+        raise IngestionError(f"{name}: malformed netpbm header: number too long") from exc
     if rows < 1 or cols < 1:
         raise IngestionError(f"{name}: invalid image size {cols}x{rows}")
     if maxval != 255:
         raise IngestionError(f"{name}: unsupported maxval {maxval} (need 255)")
-    offset = scanner.payload_offset()
+    channels = 1 if magic == b"P5" else 3
+    offset = match.end()
     expected = rows * cols * channels
     if size - offset != expected:
         raise IngestionError(f"{name}: expected {expected} sample bytes, got {size - offset}")

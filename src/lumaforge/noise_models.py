@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,13 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}"
             )
+        # numpy scalars are numbers too, a bool is not
+        if not isinstance(self.d, numbers.Real) or isinstance(self.d, bool):
+            raise ConfigurationError(f"noise level d must be a real number, got {self.d!r}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        # the stream hashes mix the seed as a python int modulo 2**64; a numpy one overflows
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not math.isfinite(self.d):

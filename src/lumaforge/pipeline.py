@@ -25,7 +25,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
@@ -155,33 +155,12 @@ class PipelineConfig:
 
     def to_mapping(self) -> dict:
         """Canonical dict of every config field, defaults resolved."""
-        return {
-            "input_dir": str(self.input_dir),
-            "output_dir": str(self.output_dir),
-            "resize_to": None
-            if self.resize_to is None
-            else {"rows": self.resize_to.rows, "cols": self.resize_to.cols},
-            "luma_weights": [
-                self.luma_weights.red,
-                self.luma_weights.green,
-                self.luma_weights.blue,
-            ],
-            "noise": None
-            if self.noise is None
-            else {"kind": self.noise.kind, "d": self.noise.d, "seed": self.noise.seed},
-            "filter": None
-            if self.filter is None
-            else {
-                "kind": self.filter.kind,
-                "window": [self.filter.window.rows, self.filter.window.cols],
-            },
-            "sigma": self.sigma,
-            "mode": self.mode,
-            "seed": self.seed,
-            "psnr_reference": self.psnr_reference,
-            "sample_name": self.sample_name,
-            "size_label": self.size_label,
-        }
+        mapping = asdict(self)
+        mapping["input_dir"], mapping["output_dir"] = str(self.input_dir), str(self.output_dir)
+        mapping["luma_weights"] = list(mapping["luma_weights"].values())
+        if self.filter is not None:
+            mapping["filter"]["window"] = list(mapping["filter"]["window"].values())
+        return mapping
 
     def digest(self) -> str:
         """sha256 over the canonical JSON form; changes iff any field changes."""

@@ -131,12 +131,24 @@ def _encode_db(value: float | None):
     return float(value)
 
 
-def _decode_db(value) -> float | None:
-    if value is None:
-        return None
-    if value == "inf":
+def _field(data: dict, key: str, types, optional: bool = False):
+    """data[key] if it has one of types (a bool is no number), or None for an absent optional field."""
+    value = data.get(key) if optional else data[key]
+    if not (value is None and optional or _is(value, types)):
+        raise IngestionError(f"malformed metrics report: {key} has the wrong type: {value!r}")
+    return value
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _decode_db(data: dict, key: str) -> float | None:
+    """An optional number field as a float; "inf" stands for infinity (an infinite PSNR)."""
+    if data.get(key) == "inf":
         return math.inf
-    return float(value)
+    value = _field(data, key, (int, float), optional=True)
+    return None if value is None else float(value)
 
 
 @dataclass
@@ -170,18 +182,23 @@ class MetricsReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
+        if not isinstance(data, dict):
+            raise IngestionError(f"malformed metrics report: not a JSON object: {data!r}")
         try:
+            dims = data["frame_dims"]
+            if not (isinstance(dims, list) and len(dims) == 2 and all(_is(n, int) for n in dims)):
+                raise IngestionError(f"malformed metrics report: frame_dims must be [rows, cols], got {dims!r}")
             return cls(
-                sample_name=data["sample_name"],
-                n_frames=int(data["n_frames"]),
-                frame_dims=(int(data["frame_dims"][0]), int(data["frame_dims"][1])),
-                pipeline_config_digest=data["pipeline_config_digest"],
-                gray_psnr_db=_decode_db(data.get("gray_psnr_db")),
-                color_psnr_db=_decode_db(data.get("color_psnr_db")),
-                improvement_pct=data.get("improvement_pct"),
-                size_label=data.get("size_label"),
+                sample_name=_field(data, "sample_name", str),
+                n_frames=_field(data, "n_frames", int),
+                frame_dims=(dims[0], dims[1]),
+                pipeline_config_digest=_field(data, "pipeline_config_digest", str),
+                gray_psnr_db=_decode_db(data, "gray_psnr_db"),
+                color_psnr_db=_decode_db(data, "color_psnr_db"),
+                improvement_pct=_decode_db(data, "improvement_pct"),
+                size_label=_field(data, "size_label", str, optional=True),
             )
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, OverflowError) as exc:  # a missing field; an integer beyond float range
             raise IngestionError(f"malformed metrics report: {exc}") from exc
 
     def save(self, path) -> None:

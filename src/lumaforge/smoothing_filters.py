@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class FilterWindow:
 
     def __post_init__(self):
         for name, v in (("rows", self.rows), ("cols", self.cols)):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigurationError(f"window {name} must be an integer, got {v!r}")
             if v < 1 or v % 2 == 0 or v > MAX_WINDOW_SIDE:
                 raise ConfigurationError(f"window {name} must be odd and in 1..{MAX_WINDOW_SIDE}, got {v}")
 

@@ -1,12 +1,22 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from conftest import block_texture
 
 import lumaforge.cli as cli_module
-from lumaforge import PipelineStageError, PixelBuffer, read_image, write_image
+from lumaforge import (
+    FilterSpec,
+    FilterWindow,
+    NoiseSpec,
+    PipelineConfig,
+    PipelineStageError,
+    PixelBuffer,
+    read_image,
+    write_image,
+)
 from lumaforge.cli import main
 
 
@@ -138,6 +148,49 @@ class TestRunCommand:
         assert tree_digest(tmp_path / "out") == first
 
 
+class TestOverrideTable:
+    def resolve(self, tmp_path, *flags, **file_fields):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input_dir": "in", "output_dir": "out", **file_fields}))
+        args = cli_module.build_parser().parse_args(["run", "--config", str(path), *flags])
+        return cli_module._resolve_config(args)
+
+    def test_every_config_field_has_one_flag(self):
+        sections = {"noise": NoiseSpec, "filter": FilterSpec}
+        # the top-level seed has --seed, a common flag of every subcommand
+        expected = [f.name for f in fields(PipelineConfig) if f.name not in ("seed", *sections)]
+        expected += [f"{name}.{f.name}" for name, spec in sections.items() for f in fields(spec)]
+        keys = [key for _, key, *_ in cli_module._OVERRIDES]
+        assert sorted(keys) == sorted(expected)
+        flags = [flag for flag, *_ in cli_module._OVERRIDES]
+        assert len(set(flags)) == len(flags)
+
+    def test_flags_merge_into_the_file_sections(self, tmp_path):
+        cfg = self.resolve(
+            tmp_path, "--noise-d", "0.02", "--window", "3x5",
+            noise={"kind": "gaussian", "d": 0.01, "seed": 4}, filter={"kind": "median", "window": [5, 5]},
+        )
+        assert cfg.noise == NoiseSpec("gaussian", 0.02, 4)
+        assert cfg.filter == FilterSpec("median", FilterWindow(3, 5))
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-kind", "none", "--noise-d", "0.5", "--filter-kind", "none", "--window", "5x5"],
+        ["--window", "5x5", "--noise-seed", "3", "--filter-kind", "none", "--noise-kind", "none"],
+    ])
+    def test_kind_none_nulls_its_section(self, tmp_path, flags):
+        cfg = self.resolve(
+            tmp_path, *flags, noise={"kind": "gaussian", "d": 0.01}, filter={"kind": "median"},
+        )
+        assert cfg.noise is None and cfg.filter is None
+
+    def test_a_file_section_that_is_no_object_stays_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input_dir": "in", "output_dir": str(tmp_path / "out"), "noise": 5}))
+        assert main(["run", "--config", str(path), "--noise-d", "0.1"]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == ["error: noise must be an object, got 5"]
+
+
 class TestStageCommands:
     def test_luma_noise_filter_enhance_chain(self, tmp_path, sequence_dir):
         steps = [
@@ -220,6 +273,27 @@ class TestMetricsAndReport:
         csv_row = (tables / "table.csv").read_text(encoding="utf-8").splitlines()[1]
         assert csv_row.split(",")[0] == "\u00e9"
         assert (tables / "table.txt").read_text(encoding="utf-8").splitlines()[1].split()[0] == "\u00e9"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param({"sample_name": 5}, id="sample_name"),
+        pytest.param({"n_frames": "abc"}, id="n_frames"),
+        pytest.param({"gray_psnr_db": "abc"}, id="gray_psnr_db"),
+        pytest.param({"improvement_pct": "zz"}, id="improvement_pct"),
+        pytest.param({"frame_dims": [144]}, id="frame_dims"),
+        pytest.param([1, 2], id="not_an_object"),
+    ])
+    def test_malformed_report_is_an_ingestion_error(self, tmp_path, capsys, body):
+        report = {
+            "sample_name": "clip", "n_frames": 3, "frame_dims": [144, 176],
+            "pipeline_config_digest": "d", "gray_psnr_db": 20.0, "color_psnr_db": 25.0,
+            "improvement_pct": None, "size_label": None,
+        }
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**report, **body} if isinstance(body, dict) else body))
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error:")
+        assert not (tmp_path / "tables").exists()
 
 
 class TestExitCodes:

@@ -77,7 +77,28 @@ MALFORMED = [
     b"P5\nx 2\n255\n" + b"\x00" * 4,  # non-numeric size
     b"P5\n2 2",  # header cut short
     b"P5\n0 2\n255\n",  # degenerate size
+    b"P5\n+3 2\n255\n" + b"\x00" * 6,  # a sign is no ASCII decimal
+    b"P5\n3_0 1\n255\n" + b"\x00" * 30,  # nor is a digit separator
+    pytest.param(b"P5\n" + b"1" * 5000 + b" 1\n255\n", id="width-beyond-int-digit-limit"),
+    b"P5\n3 2\n255#c\n" + b"\x00" * 6,  # a comment between maxval and samples
 ]
+
+# (header, rows, cols, channels) of headers the netpbm grammar allows
+ACCEPTED = [
+    (b"# made by hand\nP5\n3 2\n255\n", 2, 3, 1),  # comment before the magic
+    (b"P5\n3#c\n2 255\n", 2, 3, 1),  # comment glued to a number
+    (b"P6#c\n#d\n1\n1#e\n#f\n255\r", 1, 1, 3),  # comments and whitespace everywhere
+    (b"P5\n003 0002\n0255\n", 2, 3, 1),  # leading zeros
+]
+
+
+@pytest.mark.parametrize("header, rows, cols, channels", ACCEPTED)
+def test_reader_accepts_the_header_grammar(header, rows, cols, channels, tmp_path):
+    data = header + bytes(range(rows * cols * channels))
+    assert decode_image(data).data.tobytes() == bytes(range(rows * cols * channels))
+    path = tmp_path / "frame.pnm"
+    path.write_bytes(data)
+    assert read_dims(path) == Dimensions(rows, cols)
 
 
 @pytest.mark.parametrize("data", MALFORMED)

@@ -60,6 +60,21 @@ class TestNoiseSpec:
         with pytest.raises(ConfigurationError):
             NoiseSpec("gaussian", 0.1, seed)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: NoiseSpec("gaussian", "0.1", 0), id="string-level"),
+        pytest.param(lambda: gaussian(mid_gray(4, 4), 0.1, 1.5), id="float-seed"),
+        pytest.param(lambda: NoiseSpec("salt_pepper", 0.1, True), id="bool-seed"),
+        pytest.param(lambda: NoiseSpec("gaussian", True, 0), id="bool-level"),
+    ])
+    def test_rejects_mistyped_fields(self, make):
+        with pytest.raises(ConfigurationError, match="must be"):
+            make()
+
+    def test_accepts_numpy_scalars(self):
+        spec = NoiseSpec("gaussian", np.float64(0.01), np.uint64(7))
+        assert spec == NoiseSpec("gaussian", 0.01, 7)
+        assert apply_noise(mid_gray(4, 4), spec) == gaussian(mid_gray(4, 4), 0.01, 7)
+
 
 class TestDispatch:
     def test_apply_matches_direct_calls(self):

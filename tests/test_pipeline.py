@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import block_texture, color_block_texture
 
@@ -22,6 +22,7 @@ from lumaforge import (
     FilterSpec,
     FilterWindow,
     IngestionError,
+    LumaWeights,
     MetricsReport,
     NoiseSpec,
     PipelineConfig,
@@ -107,6 +108,30 @@ _CONFIGS = st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3, unique=T
     )
 )
 
+# Valid configs, each optional field either set or left at its default (None
+# where the field allows it).
+_NAMES = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="/\\\0"), min_size=1, max_size=6)
+_UNIT = st.floats(0, 0.5)
+_ODD_SIDES = st.integers(0, 15).map(lambda k: 2 * k + 1)
+_VALID_CONFIGS = st.builds(
+    PipelineConfig,
+    input_dir=_NAMES,
+    output_dir=_NAMES,
+    resize_to=st.none() | st.builds(Dimensions, st.integers(1, 8192), st.integers(1, 8192)),
+    luma_weights=st.builds(lambda r, g: LumaWeights(r, g, 1.0 - r - g), _UNIT, _UNIT),
+    noise=st.none() | st.builds(NoiseSpec, st.sampled_from(NOISE_KINDS), st.floats(0, 1), st.integers(0, 2**64 - 1)),
+    filter=st.none()
+    | st.builds(FilterSpec, st.just("median"), st.builds(FilterWindow, _ODD_SIDES, _ODD_SIDES))
+    | _ODD_SIDES.filter(lambda n: n >= 3).map(lambda n: FilterSpec("hybrid_median", FilterWindow(n, n))),
+    sigma=st.floats(allow_nan=False, allow_infinity=False),
+    mode=st.sampled_from(pipeline_module.MODES),
+    seed=st.integers(0, 2**64 - 1),
+    psnr_reference=st.sampled_from(pipeline_module.PSNR_REFERENCES),
+    sample_name=st.none() | _NAMES.filter(lambda name: name not in (".", "..")),
+    # lone surrogates are left out: JSON reads a high-low pair of them back as one character
+    size_label=st.none() | st.text(st.characters(exclude_categories=["Cs"]), max_size=6),
+)
+
 
 def small_config(tmp_path, **overrides):
     defaults = dict(
@@ -184,6 +209,19 @@ class TestPipelineConfig:
         except ConfigurationError:
             return
         assert len(cfg.digest()) == 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALID_CONFIGS)
+    @example(PipelineConfig("in", "out", resize_to=None))  # every optional field unset
+    @example(PipelineConfig(
+        "in", "out", Dimensions(3, 5), LumaWeights(0.5, 0.25, 0.25), NoiseSpec("poisson", 0.0, 2**64 - 1),
+        FilterSpec("hybrid_median", FilterWindow(5, 5)), 0.001, "both", 7, "noisy", "clip", "9.6Mb",
+    ))  # every optional field set
+    def test_canonical_mapping_round_trips(self, cfg):
+        mapping = json.loads(json.dumps(cfg.to_mapping()))
+        assert mapping == cfg.to_mapping()
+        again = PipelineConfig.from_mapping(mapping)
+        assert again == cfg and again.digest() == cfg.digest()
 
     def test_digest_changes_iff_fields_change(self, tmp_path):
         base = small_config(tmp_path)

@@ -2,11 +2,14 @@
 
 `__all__` lists are strings, so a name deleted from a module but left in its
 `__all__` only fails on `from module import *`. This walks every module of the
-package, and the package itself.
+package, and the package itself. It also checks that no module keeps an import
+or a private name that nothing in it uses.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,34 @@ def test_package_reexports_are_declared_public():
         declared = getattr(importlib.import_module(home), "__all__", None)
         if declared is not None:
             assert name in declared, f"lumaforge.{name} is not in {home}.__all__"
+
+
+SOURCES = sorted(Path(lumaforge.__file__).parent.glob("*.py"))
+
+
+def _checked_names(tree: ast.Module, imports: bool):
+    """Module-level imports if `imports`, and module-level names that are private but not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if imports and getattr(node, "module", None) != "__future__":
+                yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        else:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports_or_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    # a string that is exactly a name, as in __all__, counts as a use
+    used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    # the package's own imports are its public API
+    checked = _checked_names(tree, imports=path.name != "__init__.py")
+    assert [name for name in checked if name not in used] == []

@@ -43,6 +43,16 @@ class TestFilterWindow:
     def test_default_is_3x3(self):
         assert FilterWindow() == FilterWindow(3, 3)
 
+    @pytest.mark.parametrize("rows,cols", [(3.0, 3), (True, 1), (3, "3")])
+    def test_rejects_a_side_that_is_no_integer(self, rows, cols):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            FilterWindow(rows, cols)
+
+    def test_accepts_numpy_integers(self):
+        frame = PixelBuffer(np.arange(20, dtype=np.uint8).reshape(4, 5))
+        window = FilterWindow(np.int64(31), np.uint8(31))
+        assert median_filter(frame, window) == median_filter(frame, FilterWindow(31, 31))
+
 
 class TestMedianFilter:
     def test_1x1_window_is_identity(self):
