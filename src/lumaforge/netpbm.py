@@ -27,6 +27,14 @@ __all__ = ["encode_image", "decode_image", "write_image", "read_image", "read_di
 # separator has one parse, so a failed match backtracks in linear time.
 _SEP = rb"(?:\s|#[^\n]*\n)"
 _HEADER = re.compile(rb"%s*(P[56])%s+(\d+)%s+(\d+)%s+(\d+)\s" % ((_SEP,) * 4))
+# A probe that stops inside such a header matches the header prefix: leading
+# separators, the last comment perhaps cut short, then nothing, or a cut-off
+# magic, or the magic and up to two numbers followed by separators (again
+# perhaps cut short), or the magic and three numbers, the last perhaps cut
+# short. Any longer prefix already holds a whole header.
+_CUT_SEP = rb"%s*(?:#[^\n]*)?" % _SEP
+_HEADER_PREFIX = re.compile(
+    rb"%s(?:P|P[56](?:%s+\d+){0,2}%s|P[56](?:%s+\d+){3})?" % (_CUT_SEP, _SEP, _CUT_SEP, _SEP))
 _HEADER_PROBE_BYTES = 512
 
 
@@ -94,8 +102,12 @@ def read_dims(path) -> Dimensions:
             try:
                 return _parse_header(head, str(path), size)[1]
             except IngestionError:
-                # the header may run past the probe (long comments): parse it all
-                return _parse_header(head + stream.read(), str(path), size)[1]
+                # a header may run past the probe (long comments); anything
+                # else is no netpbm file, and reading it all would not help
+                if len(head) == size or not _HEADER_PREFIX.fullmatch(head):
+                    raise
+            stream.seek(0)
+            return _parse_header(stream.read(), str(path), size)[1]
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read frame file: {exc}") from exc
 

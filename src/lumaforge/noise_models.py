@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .pixel_core import ColorBuffer, PixelBuffer, round_half_up
-from .rng import U64_MAX, derive_seed, site_normals, site_uniforms
+from .rng import U64_MAX, derive_seed, site_uniforms
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
 
@@ -99,6 +99,10 @@ def gaussian(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuff
 
     Per pixel: clamp(x/255 + n, 0, 1) with n ~ Normal(0, d), re-quantized by
     round-half-up. Clamping skews an all-black frame positive, as expected.
+    The requantized offset out - x has one distribution for every x before
+    the clamp, so one uniform per pixel inverts a tabulated CDF of that
+    offset (built from math.erfc once per d), and the clamp is applied to
+    x + offset: the same model, sampled without a per-pixel transcendental.
     """
     return apply_noise(frame, NoiseSpec("gaussian", d, seed))
 
@@ -131,10 +135,45 @@ def _salt_pepper(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
     return out
 
 
+_GUIDE_CUTS = 4096  # cells of the gaussian guide table
+
+
+@functools.lru_cache(maxsize=16)
+def _gaussian_tables(d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, guide) of the requantized gaussian offset for variance d.
+
+    Round-half-up of x + 255*sqrt(d)*n lands at or below x + t - 255 with
+    probability cdf[t] = Phi((t - 255 + 0.5) / (255*sqrt(d))), the same for
+    every input level x, so t = 0..510 covers every output of every x and
+    cdf[511] = 1 ends the table. The cdf is made monotone after math.erfc.
+    guide[j] is the smallest t with cdf[t] >= j/_GUIDE_CUTS, for j = 0 to
+    _GUIDE_CUTS, a lower bound on the search for any u at or above that
+    cutpoint. Built on first use for each d; both arrays are read-only.
+    """
+    scale = 255.0 * math.sqrt(d) * math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc((254.5 - t) / scale) for t in range(511)] + [1.0])
+    np.maximum.accumulate(cdf, out=cdf)
+    guide = np.searchsorted(cdf, np.arange(_GUIDE_CUTS + 1) / _GUIDE_CUTS)
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u) for u in (0, 1], started from the guide table."""
+    t = guide[(u * _GUIDE_CUTS).astype(np.intp)]
+    # the guide settles all but ~2% of pixels; in the tails a walk from it
+    # would take up to ~90 steps, so the rest get one plain search
+    pending = np.flatnonzero(cdf[t] < u)
+    t[pending] = np.searchsorted(cdf, u[pending])
+    return t
+
+
 def _gaussian(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    noise = np.sqrt(d) * site_normals(seed, plane.size).reshape(plane.shape)
-    level = np.clip(plane / 255.0 + noise, 0.0, 1.0)
-    return round_half_up(255.0 * level).astype(np.uint8)
+    cdf, guide = _gaussian_tables(float(d))
+    out = _guided_search(cdf, guide, site_uniforms(seed, plane.size)).reshape(plane.shape)
+    out += plane
+    out -= 255
+    return np.clip(out, 0, 255, out=out).astype(np.uint8)
 
 
 @functools.cache

@@ -163,9 +163,15 @@ class PipelineConfig:
         return mapping
 
     def digest(self) -> str:
-        """sha256 over the canonical JSON form; changes iff any field changes."""
-        canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        """sha256 over the canonical JSON form; changes iff any field changes.
+
+        The JSON keeps non-ASCII characters, lone surrogates included, as they
+        are and encodes them as UTF-8 with surrogatepass, so no two strings
+        share bytes; an ASCII escape would give a surrogate pair and the
+        character it stands for one form.
+        """
+        canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":

@@ -153,9 +153,14 @@ def rgb_to_luma(frame: ColorBuffer, weights: LumaWeights = BT601_WEIGHTS) -> Pix
     Gray inputs (R = G = B) map to themselves exactly. The [0, 255] clamp is a
     guard for weight sums a hair above 1; it never fires for valid weights.
     """
-    rgb = frame.data.astype(np.float64)
-    y = weights.red * rgb[..., 0] + weights.green * rgb[..., 1] + weights.blue * rgb[..., 2]
-    return PixelBuffer(np.clip(round_half_up(y), 0, 255).astype(np.uint8))
+    rgb = frame.data
+    # (red*R + green*G) + blue*B, each uint8 plane multiplied straight into float64
+    y = np.multiply(rgb[..., 0], weights.red, dtype=np.float64)
+    term = np.multiply(rgb[..., 1], weights.green, dtype=np.float64)
+    y += term
+    y += np.multiply(rgb[..., 2], weights.blue, dtype=np.float64, out=term)
+    np.floor(np.add(y, 0.5, out=y), out=y)  # round_half_up in place
+    return PixelBuffer(np.clip(y, 0, 255, out=y).astype(np.uint8))
 
 
 def resize_nearest(frame, target: Dimensions):

@@ -66,8 +66,9 @@ def squared_error_total(a, b) -> int:
         )
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"dimension mismatch: {a.data.shape} vs {b.data.shape}")
-    diff = a.data.astype(np.int64) - b.data.astype(np.int64)
-    return int(np.sum(diff * diff))
+    diff = np.subtract(a.data, b.data, dtype=np.int32)
+    diff *= diff  # at most 255**2, so int32 holds it; the sum needs int64
+    return int(diff.sum(dtype=np.int64))
 
 
 def psnr(a, b) -> PsnrResult:

@@ -4,9 +4,9 @@ Every variate is a pure function of (seed, site index, draw index): instead of
 advancing shared generator state, the triple is hashed with the splitmix64
 finalizer. Outputs are therefore identical under any traversal order, chunking,
 or worker count, which is what makes noisy pipeline runs reproducible
-byte-for-byte. Each noise model draws a fixed number of variates per pixel
-(one, or two for the Box-Muller normals), so a pixel's value also never
-depends on how many other pixels are sampled alongside it.
+byte-for-byte. Every noise model draws exactly one variate per pixel, so a
+pixel's value also never depends on how many other pixels are sampled
+alongside it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-__all__ = ["U64_MAX", "mix64", "derive_seed", "site_uniforms", "site_uniforms_at", "site_normals"]
+__all__ = ["U64_MAX", "mix64", "derive_seed", "site_uniforms", "site_uniforms_at"]
 
 
 def mix64(value: int) -> int:
@@ -27,13 +27,6 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & U64_MAX
     z = ((z ^ (z >> 27)) * _MIX_B) & U64_MAX
     return z ^ (z >> 31)
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps silently, matching the scalar mod-2**64 version
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(seed: int, *stream_ids: int) -> int:
@@ -51,24 +44,32 @@ def derive_seed(seed: int, *stream_ids: int) -> int:
 def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
     """Uniform doubles for the given site indices at one draw index.
 
-    Values lie in (0, 1]. They are never 0, so downstream logs stay finite.
-    They are exactly 1.0 when the hash's top 53 bits are all ones: the sum
-    (2**53 - 1) + 0.5 needs 54 bits and rounds to 2**53 in float64.
+    Values lie in (0, 1]. They are never 0, and exactly 1.0 when the hash's
+    top 53 bits are all ones: the sum (2**53 - 1) + 0.5 needs 54 bits and
+    rounds to 2**53 in float64.
     """
     base = mix64((seed + (draw + 1) * _GOLDEN) & U64_MAX)
-    idx = np.asarray(sites, dtype=np.uint64) + np.uint64(1)
-    h = _mix64_array(np.uint64(base) + idx * np.uint64(_GOLDEN))
-    bits = (h >> np.uint64(11)).astype(np.float64)  # top 53 bits
-    return (bits + 0.5) * 2.0**-53
+    # mix64 on one fresh array, in place; uint64 arithmetic wraps silently,
+    # matching the scalar mod-2**64 version
+    z = np.add(np.asarray(sites, dtype=np.uint64), np.uint64(1))
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(base)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX_A)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX_B)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    # the top 53 bits fit an int64, whose conversion to float64 is exact and
+    # vectorized (numpy converts uint64 one element at a time)
+    np.right_shift(z, np.uint64(11), out=shifted)
+    u = z.view(np.float64)
+    u[...] = shifted.view(np.int64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def site_uniforms(seed: int, n_sites: int, draw: int = 0) -> np.ndarray:
     """Uniform doubles in (0, 1] for sites 0..n_sites-1 at one draw index."""
     return site_uniforms_at(seed, np.arange(n_sites, dtype=np.uint64), draw)
-
-
-def site_normals(seed: int, n_sites: int, draw_pair: int = 0) -> np.ndarray:
-    """Standard normal per site via Box-Muller on two uniform draws."""
-    u1 = site_uniforms(seed, n_sites, draw=2 * draw_pair)
-    u2 = site_uniforms(seed, n_sites, draw=2 * draw_pair + 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

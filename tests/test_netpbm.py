@@ -1,3 +1,6 @@
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +17,7 @@ from lumaforge import (
     read_image,
     write_image,
 )
-from lumaforge.netpbm import read_dims
+from lumaforge.netpbm import _HEADER, _HEADER_PREFIX, read_dims
 
 gray_arrays = npst.arrays(
     np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16)
@@ -119,6 +122,36 @@ def test_read_dims_reads_headers_longer_than_its_probe(tmp_path):
     path = tmp_path / "frame.ppm"
     path.write_bytes(b"P6\n# " + b"x" * 5000 + b"\n3 2\n255\n" + bytes(range(18)))
     assert read_dims(path) == Dimensions(2, 3) == read_image(path).dims
+
+
+@pytest.mark.parametrize("header", [h for h, *_ in ACCEPTED] + [b"P6\n# " + b"x" * 600 + b"\n3 2\n255\n"])
+def test_header_prefix_holds_every_cut_of_a_header(header):
+    # read_dims falls back to the whole file exactly when its probe is such a cut
+    cuts = [header[:i] for i in range(len(header)) if _HEADER.match(header[:i]) is None]
+    assert cuts and all(_HEADER_PREFIX.fullmatch(cut) for cut in cuts)
+    assert _HEADER_PREFIX.fullmatch(header) is None
+
+
+@pytest.mark.parametrize("head", [
+    b"GIF89a",  # no netpbm magic
+    b"P5\n3 2\n255 ",  # the header ends in the probe; the payload is too long
+    b"P5 3 x",  # a header that cannot continue
+])
+def test_read_dims_reads_no_further_than_a_header_can_reach(head, tmp_path, monkeypatch):
+    path = tmp_path / "big_000.pgm"
+    path.write_bytes(head + bytes(1 << 20))
+    reads = []
+
+    class CountingReader(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(Path, "open", lambda self, mode: CountingReader(io.FileIO(self)))
+    with pytest.raises(IngestionError):
+        read_dims(path)
+    assert sum(reads) <= 512
 
 
 def test_missing_file(tmp_path):

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -212,6 +213,43 @@ class TestGaussian:
         with pytest.raises(ConfigurationError):
             gaussian(mid_gray(4, 4), -0.5, 0)
 
+    @pytest.mark.parametrize("d", [0.001, 0.01, 0.2])
+    @pytest.mark.parametrize("level", [0, 3, 128, 250, 255])
+    def test_matches_clamped_pmf(self, d, level):
+        statistic, df = chi_square(gaussian_counts(level, d, 2000 + level), clamped_gaussian_pmf(level, d))
+        assert df >= 1
+        assert statistic <= chi_square_critical(df)
+
+    @pytest.mark.parametrize("d", [0.001, 0.01, 0.2])
+    @pytest.mark.parametrize("level", [0, 3, 128, 250, 255])
+    def test_rejects_a_variance_ten_percent_high(self, d, level):
+        # negative control: the same test must notice samples of the wrong spread
+        statistic, df = chi_square(gaussian_counts(level, 1.1 * d, 2000 + level), clamped_gaussian_pmf(level, d))
+        assert statistic > chi_square_critical(df)
+
+    def test_inverts_the_clamped_cdf_of_one_uniform_per_pixel(self):
+        # reference: smallest k whose pure-python cdf at the pixel's level reaches its uniform
+        levels = np.arange(256, dtype=np.uint8).repeat(16).reshape(64, 64)
+        out = gaussian(PixelBuffer(levels), 0.01, 77).data.ravel()
+        cdfs = [list(itertools.accumulate(clamped_gaussian_pmf(x, 0.01)))[:255] + [1.0] for x in range(256)]
+        u = site_uniforms(77, levels.size).tolist()
+        expected = [bisect.bisect_left(cdfs[x], u_i) for x, u_i in zip(levels.ravel().tolist(), u)]
+        assert out.tolist() == expected
+
+    @given(
+        st.floats(1e-9, 1e3),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=64),
+    )
+    def test_guide_start_finds_the_plain_search(self, d, draws):
+        cdf, guide = noise_models._gaussian_tables(d)
+        u = np.array(draws + [1.0, 1.0 - 2.0**-53, 2.0**-41, 2.0**-53, 0.5, 4095 / 4096, 1 / 4096])
+        assert np.array_equal(noise_models._guided_search(cdf, guide, u), np.searchsorted(cdf, u))
+
+    def test_tables_are_read_only(self):
+        cdf, guide = noise_models._gaussian_tables(0.01)
+        assert not cdf.flags.writeable and not guide.flags.writeable
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+
 
 def clamped_poisson_pmf(lam: int) -> list[float]:
     """pmf of min(Poisson(lam), 255), the tail mass lumped into 255."""
@@ -219,6 +257,18 @@ def clamped_poisson_pmf(lam: int) -> list[float]:
         return [1.0] + [0.0] * 255
     head = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(255)]
     return head + [max(0.0, 1.0 - math.fsum(head))]
+
+
+def clamped_gaussian_pmf(level: int, d: float) -> list[float]:
+    """pmf of round_half_up(255 * clip(level/255 + n, 0, 1)) for n ~ Normal(0, d)."""
+    edges = NormalDist(level, 255.0 * math.sqrt(d))
+    below = [edges.cdf(k + 0.5) for k in range(255)] + [1.0]  # P(out <= k)
+    return [below[0]] + [hi - lo for lo, hi in zip(below, below[1:])]
+
+
+def gaussian_counts(level: int, d: float, seed: int) -> np.ndarray:
+    out = gaussian(PixelBuffer(np.full((512, 512), level, dtype=np.uint8)), d, seed)
+    return np.bincount(out.data.ravel(), minlength=256)
 
 
 def chi_square(counts: np.ndarray, pmf: list[float]) -> tuple[float, int]:

@@ -241,6 +241,14 @@ class TestPipelineConfig:
         assert base.digest() not in digests
         assert len(digests) == len(changed)
 
+    def test_digest_tells_a_surrogate_pair_from_its_character(self, tmp_path):
+        pair = small_config(tmp_path, size_label="\ud800\udc00")
+        astral = small_config(tmp_path, size_label="\U00010000")
+        assert pair.digest() != astral.digest()
+        # an ASCII config hashes the same bytes as its ASCII-escaped JSON
+        ascii_json = json.dumps(small_config(tmp_path).to_mapping(), sort_keys=True, separators=(",", ":"))
+        assert small_config(tmp_path).digest() == hashlib.sha256(ascii_json.encode("ascii")).hexdigest()
+
 
 class TestIngest:
     def test_orders_by_numeric_index(self, tmp_path):

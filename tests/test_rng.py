@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lumaforge.rng import derive_seed, mix64, site_normals, site_uniforms, site_uniforms_at
+from lumaforge.rng import U64_MAX, derive_seed, mix64, site_uniforms, site_uniforms_at
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -47,10 +47,28 @@ def test_uniform_moments():
     assert abs(u.var() - 1.0 / 12.0) < 0.002
 
 
-def test_normal_moments():
-    n = site_normals(7, 200_000)
-    assert abs(n.mean()) < 0.01
-    assert abs(n.var() - 1.0) < 0.02
+GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
+
+
+def scalar_uniform(seed: int, site: int, draw: int) -> float:
+    """The stream's definition, one site at a time in python ints."""
+    base = mix64((seed + (draw + 1) * GOLDEN) & U64_MAX)
+    h = mix64((base + (site + 1) * GOLDEN) & U64_MAX)
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
+@given(seeds, st.lists(st.integers(0, U64_MAX), min_size=1, max_size=40), st.integers(0, 2**32))
+def test_vectorized_stream_matches_the_scalar_formula(seed, sites, draw):
+    got = site_uniforms_at(seed, np.array(sites, dtype=np.uint64), draw)
+    assert got.tolist() == [scalar_uniform(seed, s, draw) for s in sites]
+
+
+def test_sites_argument_is_left_unchanged():
+    sites = np.array([[0, 5], [U64_MAX - 1, 17]], dtype=np.uint64)
+    before = sites.copy()
+    u = site_uniforms_at(4, sites, 2)
+    assert np.array_equal(sites, before)
+    assert u.shape == sites.shape and not np.shares_memory(u, sites)
 
 
 @given(seeds)
