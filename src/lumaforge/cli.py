@@ -45,23 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _parse_size(text: str):
-    if text.lower() == "none":
-        return None
-    parts = text.lower().split("x")
-    try:
-        rows, cols = map(int, parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"must be ROWSxCOLS integers or 'none', got {text!r}") from exc
-    return [rows, cols]
-
-
-def _parse_weight_list(text: str):
-    try:
-        red, green, blue = map(float, text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"must be three numbers RED,GREEN,BLUE, got {text!r}") from exc
-    return [red, green, blue]
+def _number_list(sep: str, convert):
+    """Flag parser: "a<sep>b..." as a list, or 'none' as null; from_mapping checks the length."""
+    def parse(text: str):
+        if text.lower() == "none":
+            return None
+        try:
+            return [convert(part) for part in text.lower().split(sep)]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"must be numbers split by {sep!r} or 'none', got {text!r}") from exc
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,13 +67,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 _OVERRIDES = (
     ("--input-dir", "input_dir", str, None, "frame directory"),
     ("--output-dir", "output_dir", str, None, "artifact directory"),
-    ("--resize", "resize_to", _parse_size, None, "ROWSxCOLS target, or 'none' to disable"),
-    ("--luma-weights", "luma_weights", _parse_weight_list, None, "RED,GREEN,BLUE"),
+    ("--resize", "resize_to", _number_list("x", int), None, "ROWSxCOLS target, or 'none' to disable"),
+    ("--luma-weights", "luma_weights", _number_list(",", float), None, "RED,GREEN,BLUE"),
     ("--noise-kind", "noise.kind", str, None, "|".join(NOISE_KINDS) + ", or 'none' to disable"),
     ("--noise-d", "noise.d", float, None, "noise level"),
     ("--noise-seed", "noise.seed", int, None, "noise stream seed"),
     ("--filter-kind", "filter.kind", str, None, "|".join(FILTER_KINDS) + ", or 'none' to disable"),
-    ("--window", "filter.window", _parse_size, None, "filter window ROWSxCOLS"),
+    ("--window", "filter.window", _number_list("x", int), None, "filter window ROWSxCOLS"),
     ("--sigma", "sigma", float, None, "equalization weight (default 0)"),
     ("--mode", "mode", str, MODES, "processing path"),
     ("--psnr-reference", "psnr_reference", str, PSNR_REFERENCES, "frame PSNR is measured against"),

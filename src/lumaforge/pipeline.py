@@ -25,8 +25,9 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .luma_equalize import enhance_with_diagnostics
@@ -62,8 +63,8 @@ PSNR_REFERENCES = ("clean", "noisy")
 
 DEFAULT_RESIZE = Dimensions(rows=144, cols=176)
 
-# largest rows * cols a config may ask for (a resize target or a filter
-# window): 2**26 samples, 64 MiB per 8-bit plane
+# largest rows * cols a resize target may ask for: 2**26 samples, 64 MiB per
+# 8-bit plane
 MAX_SAMPLES = 2**26
 
 # <stem>_<zero-padded index>.<pgm|ppm>; ordering is by parsed index
@@ -142,6 +143,11 @@ class PipelineConfig:
                 encodable = False
             if not encodable:
                 raise ConfigurationError(f"{key} must encode as a path without NUL, got {str(name)!r}")
+        if self.resize_to is not None and self.resize_to.area > MAX_SAMPLES:
+            raise ConfigurationError(
+                f"resize_to must have at most {MAX_SAMPLES} samples, "
+                f"got {self.resize_to.rows}x{self.resize_to.cols}"
+            )
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
         # the name prefixes every artifact file name, so it must stay one
@@ -175,103 +181,58 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for required in ("input_dir", "output_dir"):
-            if required not in data:
-                raise ConfigurationError(f"config is missing required field {required!r}")
-            kwargs[required] = Path(_typed(data[required], (str, Path), required, "a path"))
-        seed = kwargs["seed"] = _typed(data.get("seed", 0), int, "seed", "an integer")
-        if "resize_to" in data:
-            kwargs["resize_to"] = _parse_dims(data["resize_to"], "resize_to", optional=True)
-        if "luma_weights" in data:
-            kwargs["luma_weights"] = _parse_weights(data["luma_weights"])
-        if "noise" in data and data["noise"] is not None:
-            kwargs["noise"] = _parse_noise(data["noise"], default_seed=seed)
-        if "filter" in data and data["filter"] is not None:
-            kwargs["filter"] = _parse_filter(data["filter"])
-        if "sigma" in data and data["sigma"] is not None:
-            kwargs["sigma"] = _number(data["sigma"], "sigma")
-        for key in ("mode", "psnr_reference", "sample_name", "size_label"):
-            if key in data and data[key] is not None:
-                kwargs[key] = _typed(data[key], str, key, "a string")
-        return cls(**kwargs)
+        """The inverse of to_mapping; fields with a default may be left out."""
+        cfg = _build(cls, data, "config")
+        if cfg.noise is not None and "seed" not in data["noise"]:
+            cfg.noise = replace(cfg.noise, seed=cfg.seed)
+        return cfg
 
 
-def _typed(value, types, what: str, expected: str):
-    # type only (a bool is no number): the config dataclasses check the
-    # values themselves, finiteness included
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
-    return value
+# JSON types a scalar field takes, and their name in errors; a bool is no number
+_SCALARS = {
+    str: (str, "a string"),
+    Path: ((str, Path), "a path"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+}
 
 
-def _number(value, what: str) -> float:
-    """A config number as a float; an integer beyond the float range is a config error."""
-    try:
-        return float(_typed(value, (int, float), what, "a number"))
-    except OverflowError as exc:
-        raise ConfigurationError(f"{what} must be finite, got an integer too large for a float") from exc
+def _build(cls, value, what: str):
+    """A JSON value as type hint `cls`: a scalar, `X | None`, or a config dataclass.
 
-
-def _parse_dims(value, what: str, optional: bool = False) -> Dimensions | None:
-    if value is None and optional:
-        return None
-    if isinstance(value, dict):
-        if set(value) != {"rows", "cols"}:
-            raise ConfigurationError(f"{what} needs exactly rows and cols, got {value!r}")
-        value = [value["rows"], value["cols"]]
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        dims = Dimensions(*(_typed(n, int, what, "a pair of integers") for n in value))
-        if dims.area > MAX_SAMPLES:
-            raise ConfigurationError(
-                f"{what} must have at most {MAX_SAMPLES} samples, got {dims.rows}x{dims.cols}"
-            )
-        return dims
-    raise ConfigurationError(f"{what} must be null, [rows, cols], or {{rows, cols}}, got {value!r}")
-
-
-def _parse_weights(value) -> LumaWeights:
-    if isinstance(value, dict):
+    A dataclass takes an object keyed by field name; number-only ones also
+    take a list in field order. The dataclasses check the values themselves.
+    """
+    args = get_args(cls)
+    if type(None) in args:
+        return None if value is None else _build(next(a for a in args if a is not type(None)), value, what)
+    if cls in _SCALARS:
+        types, expected = _SCALARS[cls]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
         try:
-            value = [value["red"], value["green"], value["blue"]]
-        except KeyError as exc:
-            raise ConfigurationError(f"luma_weights needs red/green/blue, got {value!r}") from exc
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return LumaWeights(*(_number(w, "luma_weights") for w in value))
-    raise ConfigurationError(f"luma_weights must be [red, green, blue], got {value!r}")
-
-
-def _check_spec(value, what: str, fields: set[str]) -> None:
-    """A noise or filter spec is an object with a kind and no unknown fields."""
+            return cls(value)
+        except OverflowError as exc:
+            raise ConfigurationError(f"{what} must be finite, got an integer too large for a float") from exc
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    listable = all(hints[name] in (int, float) for name in names)
+    if listable and isinstance(value, (list, tuple)) and len(value) == len(names):
+        value = dict(zip(names, value))
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{what} must be an object, got {value!r}")
-    extra = set(value) - fields
-    if extra:
-        raise ConfigurationError(f"unknown {what} fields: {sorted(extra)}")
-    if "kind" not in value:
-        raise ConfigurationError(f"{what} needs a kind")
-
-
-def _parse_noise(value, default_seed: int) -> NoiseSpec:
-    _check_spec(value, "noise", {"kind", "d", "seed"})
-    return NoiseSpec(
-        kind=value["kind"],
-        d=_number(value.get("d", 0.0), "noise d"),
-        seed=_typed(value.get("seed", default_seed), int, "noise seed", "an integer"),
-    )
-
-
-def _parse_filter(value) -> FilterSpec:
-    _check_spec(value, "filter", {"kind", "window"})
-    window = FilterWindow(3, 3)
-    if "window" in value and value["window"] is not None:
-        dims = _parse_dims(value["window"], "filter window")
-        window = FilterWindow(dims.rows, dims.cols)
-    return FilterSpec(kind=value["kind"], window=window)
+        form = f"[{', '.join(names)}] or an object" if listable else "an object"
+        raise ConfigurationError(f"{what} must be {form}, got {value!r}")
+    unknown = set(value) - set(names)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in value:
+            label = f.name if what == "config" else f"{what} {f.name}"
+            kwargs[f.name] = _build(hints[f.name], value[f.name], label)
+        elif f.default is MISSING:
+            raise ConfigurationError(f"{what} is missing required field {f.name!r}")
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

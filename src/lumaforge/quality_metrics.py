@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -170,16 +170,11 @@ class MetricsReport:
     size_label: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "sample_name": self.sample_name,
-            "n_frames": self.n_frames,
-            "frame_dims": [self.frame_dims[0], self.frame_dims[1]],
-            "pipeline_config_digest": self.pipeline_config_digest,
-            "gray_psnr_db": _encode_db(self.gray_psnr_db),
-            "color_psnr_db": _encode_db(self.color_psnr_db),
-            "improvement_pct": self.improvement_pct,
-            "size_label": self.size_label,
-        }
+        data = asdict(self)  # field order is the report's key order
+        data["frame_dims"] = list(self.frame_dims)
+        for key in ("gray_psnr_db", "color_psnr_db"):
+            data[key] = _encode_db(data[key])
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":

@@ -1,9 +1,9 @@
 """Counter-based deterministic random streams.
 
-Every variate is a pure function of (seed, site index, draw index): instead of
-advancing shared generator state, the triple is hashed with the splitmix64
-finalizer. Outputs are therefore identical under any traversal order, chunking,
-or worker count, which is what makes noisy pipeline runs reproducible
+Every variate is a pure function of (seed, site index): instead of advancing
+shared generator state, the pair is hashed with the splitmix64 finalizer.
+Outputs are therefore identical under any traversal order, chunking, or
+worker count, which is what makes noisy pipeline runs reproducible
 byte-for-byte. Every noise model draws exactly one variate per pixel, so a
 pixel's value also never depends on how many other pixels are sampled
 alongside it.
@@ -41,14 +41,14 @@ def derive_seed(seed: int, *stream_ids: int) -> int:
     return s
 
 
-def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
-    """Uniform doubles for the given site indices at one draw index.
+def site_uniforms_at(seed: int, sites: np.ndarray) -> np.ndarray:
+    """Uniform doubles for the given site indices.
 
     Values lie in (0, 1]. They are never 0, and exactly 1.0 when the hash's
     top 53 bits are all ones: the sum (2**53 - 1) + 0.5 needs 54 bits and
     rounds to 2**53 in float64.
     """
-    base = mix64((seed + (draw + 1) * _GOLDEN) & U64_MAX)
+    base = mix64((seed + _GOLDEN) & U64_MAX)
     # mix64 on one fresh array, in place; uint64 arithmetic wraps silently,
     # matching the scalar mod-2**64 version
     z = np.add(np.asarray(sites, dtype=np.uint64), np.uint64(1))
@@ -70,6 +70,6 @@ def site_uniforms_at(seed: int, sites: np.ndarray, draw: int = 0) -> np.ndarray:
     return u
 
 
-def site_uniforms(seed: int, n_sites: int, draw: int = 0) -> np.ndarray:
-    """Uniform doubles in (0, 1] for sites 0..n_sites-1 at one draw index."""
-    return site_uniforms_at(seed, np.arange(n_sites, dtype=np.uint64), draw)
+def site_uniforms(seed: int, n_sites: int) -> np.ndarray:
+    """Uniform doubles in (0, 1] for sites 0..n_sites-1."""
+    return site_uniforms_at(seed, np.arange(n_sites, dtype=np.uint64))

@@ -190,6 +190,26 @@ class TestOverrideTable:
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert err_lines == ["error: noise must be an object, got 5"]
 
+    @pytest.mark.parametrize("body, line", [pytest.param(*case[1:], id=case[0]) for case in [
+        ("noise-list", {"noise": ["gaussian", 0.1, 3]}, "noise must be an object, got ['gaussian', 0.1, 3]"),
+        ("filter-list", {"filter": ["median"]}, "filter must be an object, got ['median']"),
+        ("filter-no-kind", {"filter": {"window": [3, 3]}}, "filter is missing required field 'kind'"),
+        ("resize-no-cols", {"resize_to": {"rows": 5}}, "resize_to is missing required field 'cols'"),
+        ("resize-short", {"resize_to": [5]}, "resize_to must be [rows, cols] or an object, got [5]"),
+        ("noise-unknown", {"noise": {"kind": "gaussian", "sigma": 1}}, "unknown noise fields: ['sigma']"),
+        ("seed-bool", {"seed": True}, "seed must be an integer, got True"),
+        # the noise section inherits the run seed, but the error is the run seed's
+        ("seed-inherited", {"seed": "x", "noise": {"kind": "gaussian"}}, "seed must be an integer, got 'x'"),
+        ("sigma-huge", {"sigma": 10**400}, "sigma must be finite, got an integer too large for a float"),
+    ]])
+    def test_a_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, body, line):
+        monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input_dir": "in", "output_dir": str(tmp_path / "out"), **body}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {line}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestStageCommands:
     def test_luma_noise_filter_enhance_chain(self, tmp_path, sequence_dir):

@@ -150,7 +150,7 @@ class TestSaltPepper:
     def test_zero_density_is_identity_at_a_uniform_of_one(self, monkeypatch):
         # a site whose hash has its top 53 bits set draws exactly 1.0, which
         # passes the salt test u >= 1 - d/2 even at d = 0
-        monkeypatch.setattr(noise_models, "site_uniforms", lambda seed, n, draw=0: np.full(n, 1.0))
+        monkeypatch.setattr(noise_models, "site_uniforms", lambda seed, n: np.full(n, 1.0))
         frame = mid_gray(4, 4)
         assert salt_pepper(frame, 0.0, 5) == frame
 

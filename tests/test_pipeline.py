@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -193,6 +195,28 @@ class TestPipelineConfig:
             {"input_dir": "a", "output_dir": "b", "resize_to": None}
         )
         assert cfg.resize_to is None
+
+    def test_rejects_a_resize_beyond_the_sample_bound(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="resize_to must have at most"):
+            PipelineConfig(input_dir=tmp_path, output_dir=tmp_path, resize_to=Dimensions(8193, 8193))
+
+    def test_from_mapping_builds_every_field_type(self):
+        # a field of a type the builder cannot parse fails here, not at run time
+        seen, pending = set(), [PipelineConfig]
+        while pending:
+            cls = pending.pop()
+            for hint in get_type_hints(cls).values():
+                args = get_args(hint)
+                if args:  # the builder reads only X | None
+                    assert len(args) == 2 and type(None) in args, f"{cls.__name__}: no builder for {hint}"
+                    hint = next(a for a in args if a is not type(None))
+                if dataclasses.is_dataclass(hint):
+                    if hint not in seen:
+                        seen.add(hint)
+                        pending.append(hint)
+                else:
+                    assert hint in pipeline_module._SCALARS, f"{cls.__name__}: no builder for {hint}"
+        assert seen == {Dimensions, LumaWeights, NoiseSpec, FilterSpec, FilterWindow}
 
     def test_rejects_bad_mode_and_reference(self, tmp_path):
         with pytest.raises(ConfigurationError):

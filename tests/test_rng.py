@@ -13,27 +13,21 @@ def test_uniforms_strictly_inside_unit_interval(seed):
     assert u.min() > 0.0 and u.max() < 1.0
 
 
-@given(seeds, st.integers(0, 5))
-def test_uniforms_deterministic(seed, draw):
-    assert np.array_equal(site_uniforms(seed, 64, draw), site_uniforms(seed, 64, draw))
-
-
-def test_distinct_draws_give_distinct_streams():
-    a = site_uniforms(123, 256, draw=0)
-    b = site_uniforms(123, 256, draw=1)
-    assert not np.array_equal(a, b)
+@given(seeds)
+def test_uniforms_deterministic(seed):
+    assert np.array_equal(site_uniforms(seed, 64), site_uniforms(seed, 64))
 
 
 def test_distinct_seeds_give_distinct_streams():
     assert not np.array_equal(site_uniforms(1, 256), site_uniforms(2, 256))
 
 
-@given(seeds, st.integers(0, 3))
-def test_subset_indexing_matches_full_stream(seed, draw):
+@given(seeds)
+def test_subset_indexing_matches_full_stream(seed):
     # a site's value never depends on which other sites are evaluated
     # alongside it, so any subset or chunking of a frame sees the same stream
-    full = site_uniforms(seed, 40, draw)
-    picked = site_uniforms_at(seed, np.array([3, 17, 39]), draw)
+    full = site_uniforms(seed, 40)
+    picked = site_uniforms_at(seed, np.array([3, 17, 39]))
     assert np.array_equal(picked, full[[3, 17, 39]])
 
 
@@ -50,23 +44,23 @@ def test_uniform_moments():
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 
 
-def scalar_uniform(seed: int, site: int, draw: int) -> float:
+def scalar_uniform(seed: int, site: int) -> float:
     """The stream's definition, one site at a time in python ints."""
-    base = mix64((seed + (draw + 1) * GOLDEN) & U64_MAX)
+    base = mix64((seed + GOLDEN) & U64_MAX)
     h = mix64((base + (site + 1) * GOLDEN) & U64_MAX)
     return ((h >> 11) + 0.5) * 2.0**-53
 
 
-@given(seeds, st.lists(st.integers(0, U64_MAX), min_size=1, max_size=40), st.integers(0, 2**32))
-def test_vectorized_stream_matches_the_scalar_formula(seed, sites, draw):
-    got = site_uniforms_at(seed, np.array(sites, dtype=np.uint64), draw)
-    assert got.tolist() == [scalar_uniform(seed, s, draw) for s in sites]
+@given(seeds, st.lists(st.integers(0, U64_MAX), min_size=1, max_size=40))
+def test_vectorized_stream_matches_the_scalar_formula(seed, sites):
+    got = site_uniforms_at(seed, np.array(sites, dtype=np.uint64))
+    assert got.tolist() == [scalar_uniform(seed, s) for s in sites]
 
 
 def test_sites_argument_is_left_unchanged():
     sites = np.array([[0, 5], [U64_MAX - 1, 17]], dtype=np.uint64)
     before = sites.copy()
-    u = site_uniforms_at(4, sites, 2)
+    u = site_uniforms_at(4, sites)
     assert np.array_equal(sites, before)
     assert u.shape == sites.shape and not np.shares_memory(u, sites)
 
