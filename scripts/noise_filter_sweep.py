@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from lumaforge import FilterWindow, hybrid_median_filter, median_filter, psnr, salt_pepper
+from lumaforge import FilterWindow, PixelBuffer, hybrid_median_filter, median_filter, psnr, salt_pepper
 from make_demo_sequence import synth_frame  # sibling script in scripts/
 
 
@@ -33,7 +33,8 @@ def main() -> int:
     for d in args.densities:
         noisy_db, median_db, hybrid_db = [], [], []
         for trial in range(args.trials):
-            clean = synth_frame(np.random.default_rng(args.seed + trial), args.rows, args.cols).channel(0)
+            frame = synth_frame(np.random.default_rng(args.seed + trial), args.rows, args.cols)
+            clean = PixelBuffer(frame.data[:, :, 0])
             noisy = salt_pepper(clean, d, seed=args.seed + 1000 + trial)
             noisy_db.append(psnr(noisy, clean).psnr_db)
             median_db.append(psnr(median_filter(noisy, window), clean).psnr_db)

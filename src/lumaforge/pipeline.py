@@ -1,16 +1,16 @@
 """Batch orchestration over directories of numbered netpbm frames.
 
-A run checks the headers of a frame sequence, then a pool of workers decodes,
-processes and writes one frame at a time, so memory grows with the worker
-count and not with the sequence length. Each frame is optionally resized,
-then takes the grayscale path (its luminance plane), the color path (the RGB
-frame itself), or both. Each path runs the same steps: optional noise
-injection, optional median/hybrid-median smoothing, brightness equalization,
-and pooled PSNR of the result against the clean pre-noise reference.
-Artifacts per run: one enhanced frame per input frame and path, pre/post-
-enhancement histogram CSVs, and a single metrics report JSON. A single-stage
-run (run_stage) is the same frame loop with the other steps switched off and
-no PSNR or report.
+A run checks the headers of a frame sequence, then a pool of workers decodes
+and processes one frame at a time while one thread writes the finished bytes,
+with at most 2 frames waiting; memory grows with the worker count, not with
+the sequence length. Each frame is optionally resized, then takes the
+grayscale path (its luminance plane), the color path (the RGB frame itself),
+or both. Each path runs the same steps: optional noise injection, optional
+median/hybrid-median smoothing, brightness equalization, and pooled PSNR of
+the result against the clean pre-noise reference. Artifacts per run: one
+enhanced frame per input frame and path, pre/post-enhancement histogram CSVs,
+and a single metrics report JSON. A single-stage run (run_stage) is the same
+frame loop with the other steps switched off and no PSNR or report.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -18,6 +18,7 @@ function of (config, input bytes) alone, never of worker count or scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -31,7 +32,7 @@ from typing import get_args, get_type_hints
 
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .luma_equalize import enhance_with_diagnostics
-from .netpbm import read_dims, read_image, write_image
+from .netpbm import encode_image, read_dims, read_image
 from .noise_models import NoiseSpec, apply_noise
 from .pixel_core import (
     BT601_WEIGHTS,
@@ -45,14 +46,13 @@ from .pixel_core import (
 from .quality_metrics import (
     MetricsReport,
     PsnrResult,
-    export_histogram,
+    histogram_csv,
     improvement_pct,
     squared_error_total,
 )
 from .rng import U64_MAX, derive_seed
 from .smoothing_filters import (
     FilterWindow,
-    check_hybrid_window,
     hybrid_median_filter,
     median_filter,
 )
@@ -98,7 +98,7 @@ class FilterSpec:
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
             )
         if self.kind == "hybrid_median":
-            check_hybrid_window(self.window)
+            self.window._check_hybrid()
 
 
 @dataclass
@@ -299,27 +299,52 @@ def ingest_frames(directory) -> FrameSequence:
     return FrameSequence(name=stems.pop(), paths=paths, dims=dims, native_kind=native_kind)
 
 
-class _ArtifactWriter:
-    """Tracks every path written so a failed run can remove partial outputs."""
+_WAITING_FRAMES = 2  # frames whose artifacts may be queued for, or in, the writer thread
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+
+class _ArtifactSink:
+    """The frame loop's only disk access: one thread writes each frame's (path, bytes) artifacts.
+
+    A path is recorded once this run has opened it, so a failed run removes only its own files.
+    """
+
+    def __init__(self):
+        self._writer = ThreadPoolExecutor(max_workers=1)
+        self._slots = threading.Semaphore(_WAITING_FRAMES)
         self._written: list[Path] = []
-        self._lock = threading.Lock()
+        self._error: PipelineStageError | None = None
 
-    def write(self, save, artifact, name: str) -> Path:
-        """save(artifact, path) to out_dir/name, recording the path first."""
-        path = self.out_dir / name
-        with self._lock:
-            self._written.append(path)
-        save(artifact, path)
-        return path
+    def put(self, index: int, artifacts: list[tuple[Path, bytes]]) -> None:
+        """Queue frame `index`, blocking while _WAITING_FRAMES frames wait; raises the first failed write."""
+        if self._error is not None:
+            raise self._error
+        self._slots.acquire()
+        self._writer.submit(self._write, index, artifacts).add_done_callback(lambda _: self._slots.release())
 
-    def remove_all(self) -> None:
-        with self._lock:
-            written = list(self._written)
-        for path in written:
-            path.unlink(missing_ok=True)
+    def _write(self, index: int, artifacts: list[tuple[Path, bytes]]) -> None:
+        for path, data in artifacts if self._error is None else ():
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                self._written.append(path)
+                try:
+                    view = memoryview(data)
+                    while view:  # a short write leaves the rest to the next
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                self._error = PipelineStageError(f"frame {index}: {exc}")
+                return
+
+    def close(self, failed: bool) -> None:
+        """Wait for the writer; after a failed run or write, drop queued writes and remove every file written."""
+        self._writer.shutdown(wait=True, cancel_futures=failed or self._error is not None)
+        if failed or self._error is not None:
+            for path in self._written:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+            if not failed:
+                raise self._error
 
 
 def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
@@ -357,11 +382,11 @@ def _run_frames(
     sequence = ingest_frames(cfg.input_dir)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _ArtifactWriter(out_dir)
     name = cfg.sample_name or sequence.name
     pad = max(3, len(str(len(sequence.paths) - 1)))
     mode = sequence.native_kind if native else cfg.mode
     kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]
+    sink = _ArtifactSink()
 
     def work(index: int):
         try:
@@ -369,18 +394,20 @@ def _run_frames(
             if cfg.resize_to is not None:
                 frame = resize_nearest(frame, cfg.resize_to)
             tag = f"{index:0{pad}d}"
-            outputs = []
+            outputs, artifacts = [], []
             for kind, ext in kinds:
                 out, reference = _path(cfg, frame, index, kind)
                 if enhance:
                     out, *hists = enhance_with_diagnostics(out, cfg.sigma)
                     for when, hist in zip(("pre", "post"), hists):
-                        writer.write(export_histogram, hist, f"{name}_{kind}_hist_{when}_{tag}.csv")
-                path = writer.write(write_image, out, f"{name}_{infix}_{tag}.{ext}")
+                        artifacts.append((out_dir / f"{name}_{kind}_hist_{when}_{tag}.csv", histogram_csv(hist)))
+                path = out_dir / f"{name}_{infix}_{tag}.{ext}"
+                artifacts.append((path, encode_image(out)))
                 outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
-            return outputs
         except Exception as exc:
             raise PipelineStageError(f"frame {index}: {exc}") from exc
+        sink.put(index, artifacts)
+        return outputs
 
     indices = range(len(sequence.paths))
     try:
@@ -389,9 +416,10 @@ def _run_frames(
                 frames = list(pool.map(work, indices))
         else:
             frames = [work(index) for index in indices]
-    except PipelineStageError:
-        writer.remove_all()
+    except BaseException:
+        sink.close(failed=True)
         raise
+    sink.close(failed=False)
     return sequence, frames
 
 

@@ -110,18 +110,6 @@ class ColorBuffer(_Frame):
     __slots__ = ()
     _channels = (3,)
 
-    @classmethod
-    def from_planes(cls, red: PixelBuffer, green: PixelBuffer, blue: PixelBuffer) -> "ColorBuffer":
-        if not (red.dims == green.dims == blue.dims):
-            raise ConfigurationError("channel planes must share one set of dimensions")
-        return cls(np.stack([red.data, green.data, blue.data], axis=-1))
-
-    def channel(self, index: int) -> PixelBuffer:
-        return PixelBuffer(self._data[:, :, index])
-
-    def planes(self) -> tuple[PixelBuffer, PixelBuffer, PixelBuffer]:
-        return self.channel(0), self.channel(1), self.channel(2)
-
 
 @dataclass(frozen=True)
 class LumaWeights:

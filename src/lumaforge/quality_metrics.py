@@ -9,6 +9,7 @@ counterpart, with the color value as the denominator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "squared_error_total",
     "psnr",
     "improvement_pct",
+    "histogram_csv",
     "export_histogram",
     "load_histogram",
 ]
@@ -92,12 +94,22 @@ def improvement_pct(gray_db: float, color_db: float) -> float:
     return (color_db - gray_db) / color_db * 100.0
 
 
+@functools.lru_cache(maxsize=1024)
+def _cell(count: int, area: int) -> str:
+    """The `,count,probability` end of a CSV row; count / area rounds as numpy's counts / area does."""
+    return f",{count},{count / area:.9e}\n"
+
+
+def histogram_csv(hist) -> bytes:
+    """One `level,count,probability` row per intensity level of a Histogram, as ASCII bytes."""
+    area = hist.area
+    rows = "".join([str(level) + _cell(count, area) for level, count in enumerate(hist.counts.tolist())])
+    return b"level,count,probability\n" + rows.encode("ascii")
+
+
 def export_histogram(hist, path) -> None:
-    """Write one `level,count,probability` row per intensity level of a Histogram."""
-    rows = enumerate(zip(hist.counts.tolist(), hist.mass.tolist()))
-    lines = ["level,count,probability"]
-    lines += [f"{level},{count},{mass:.9e}" for level, (count, mass) in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write histogram_csv(hist) to path."""
+    Path(path).write_bytes(histogram_csv(hist))
 
 
 def load_histogram(path) -> Histogram:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .pixel_core import ColorBuffer, PixelBuffer
 
-__all__ = ["FilterWindow", "check_hybrid_window", "median_filter", "hybrid_median_filter"]
+__all__ = ["FilterWindow", "median_filter", "hybrid_median_filter"]
 
 # largest window side: past 31x31 (n = 961) a cached plan takes seconds and tens of MB
 MAX_WINDOW_SIDE = 31
@@ -49,6 +49,13 @@ class FilterWindow:
                 raise ConfigurationError(f"window {name} must be an integer, got {v!r}")
             if v < 1 or v % 2 == 0 or v > MAX_WINDOW_SIDE:
                 raise ConfigurationError(f"window {name} must be odd and in 1..{MAX_WINDOW_SIDE}, got {v}")
+
+    def _check_hybrid(self) -> None:
+        """Raise ConfigurationError unless the window is square with side >= 3, as the hybrid median needs."""
+        if self.rows != self.cols:
+            raise ConfigurationError(f"hybrid median needs a square window, got {self.rows}x{self.cols}")
+        if self.rows < 3:
+            raise ConfigurationError(f"hybrid median needs window side >= 3, got {self.rows}")
 
 
 def _batcher_pairs(size: int):
@@ -137,16 +144,6 @@ def median_filter(
     return type(frame)(_select(views, (len(views) - 1) // 2))
 
 
-def check_hybrid_window(window: FilterWindow) -> None:
-    """Raise ConfigurationError unless the window is square with side >= 3."""
-    if window.rows != window.cols:
-        raise ConfigurationError(
-            f"hybrid median needs a square window, got {window.rows}x{window.cols}"
-        )
-    if window.rows < 3:
-        raise ConfigurationError(f"hybrid median needs window side >= 3, got {window.rows}")
-
-
 def hybrid_median_filter(
     frame: PixelBuffer | ColorBuffer, window: FilterWindow = FilterWindow()
 ) -> PixelBuffer | ColorBuffer:
@@ -156,7 +153,7 @@ def hybrid_median_filter(
     neighborhood is both diagonals; each includes the center pixel, for 2k-1
     values apiece. Requires a square window of odd side k >= 3.
     """
-    check_hybrid_window(window)
+    window._check_hybrid()
     k = window.rows
     half = k // 2
     off_center = [d for d in range(k) if d != half]

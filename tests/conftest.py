@@ -1,6 +1,18 @@
+import threading
+
 import numpy as np
+import pytest
 
 from lumaforge import ColorBuffer, PixelBuffer
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_threads():
+    """Fail a test that leaves a thread alive that was not there before it."""
+    before = set(threading.enumerate())
+    yield
+    leftover = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert leftover == [], f"threads left alive: {leftover}"
 
 
 def block_texture(seed: int, rows: int = 144, cols: int = 176, block: int = 8) -> PixelBuffer:
@@ -17,8 +29,14 @@ def block_texture(seed: int, rows: int = 144, cols: int = 176, block: int = 8) -
 
 
 def color_block_texture(seed: int, rows: int = 144, cols: int = 176, block: int = 8) -> ColorBuffer:
-    return ColorBuffer.from_planes(
-        block_texture(seed * 3 + 0, rows, cols, block),
-        block_texture(seed * 3 + 1, rows, cols, block),
-        block_texture(seed * 3 + 2, rows, cols, block),
-    )
+    return from_planes(*(block_texture(seed * 3 + c, rows, cols, block) for c in range(3)))
+
+
+def from_planes(red: PixelBuffer, green: PixelBuffer, blue: PixelBuffer) -> ColorBuffer:
+    """The color frame whose channels are the three gray planes."""
+    return ColorBuffer(np.stack([red.data, green.data, blue.data], axis=-1))
+
+
+def planes(frame: ColorBuffer) -> tuple[PixelBuffer, PixelBuffer, PixelBuffer]:
+    """A color frame's red, green and blue channels as gray planes."""
+    return tuple(PixelBuffer(frame.data[:, :, c]) for c in range(3))

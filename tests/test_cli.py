@@ -356,6 +356,18 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_a_directory_in_an_artifact_path_fails_the_run_cleanly(self, tmp_path, sequence_dir, capsys):
+        out = tmp_path / "out"
+        blocker = out / "clip_enhanced_002.pgm"
+        blocker.mkdir(parents=True)
+        code = main(["run", "--input-dir", str(sequence_dir), "--output-dir", str(out)])
+        assert code == 3
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("pipeline error: frame 2: ") and str(blocker) in err_lines[0]
+        assert blocker.is_dir()
+        assert list(out.iterdir()) == [blocker]
+
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from _oracles import oracle_equalize
+from conftest import from_planes, planes
 from lumaforge import (
     ColorBuffer,
     ConfigurationError,
@@ -171,8 +172,8 @@ class TestEnhanceColor:
     @given(frames)
     def test_gray_input_stays_gray(self, arr):
         plane = PixelBuffer(arr)
-        out = enhance_color(ColorBuffer.from_planes(plane, plane, plane))
-        r, g, b = out.planes()
+        out = enhance_color(from_planes(plane, plane, plane))
+        r, g, b = planes(out)
         assert r == g == b == enhance(plane)
 
     @given(color_frames, st.sampled_from(SIGMAS))
@@ -180,7 +181,7 @@ class TestEnhanceColor:
         frame = ColorBuffer(arr)
         out = enhance_color(frame, sigma)
         for index in range(3):
-            assert out.channel(index) == enhance(frame.channel(index), sigma)
+            assert planes(out)[index] == enhance(planes(frame)[index], sigma)
 
 
 class TestColorHistogram:

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import block_texture, color_block_texture
+from conftest import block_texture, color_block_texture, planes
 
 import lumaforge.pipeline as pipeline_module
 from lumaforge import (
@@ -295,7 +297,7 @@ class TestIngest:
         assert seq.native_kind == "gray"
         frame = seq.load(0)
         assert isinstance(frame, ColorBuffer)
-        r, g, b = frame.planes()
+        r, g, b = planes(frame)
         assert r == g == b
 
     def test_rejects_mixed_dims_naming_offender(self, tmp_path):
@@ -383,6 +385,26 @@ class TestRunPipeline:
         run_pipeline(cfg, jobs=3)
         assert tree_digest(tmp_path / "out") == first
 
+    def test_more_workers_than_cores_share_one_sink(self, tmp_path):
+        # short thread switches interleave the workers' puts with the writer
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=8, cols=8) for i in range(40)])
+        run_pipeline(small_config(tmp_path, output_dir=tmp_path / "one"), jobs=1)
+        blocker = tmp_path / "bad" / "clip_enhanced_039.pgm"
+        blocker.mkdir(parents=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_pipeline(small_config(tmp_path, output_dir=tmp_path / "many"), jobs=2 * (os.cpu_count() or 1))
+            with pytest.raises(PipelineStageError, match="frame 39"):
+                run_pipeline(small_config(tmp_path, output_dir=tmp_path / "bad"), jobs=2 * (os.cpu_count() or 1))
+        finally:
+            sys.setswitchinterval(interval)
+        many, one = tree_digest(tmp_path / "many"), tree_digest(tmp_path / "one")
+        # report.json holds the config digest, which hashes output_dir
+        assert many.pop("report.json") and one.pop("report.json")
+        assert many == one and len(many) == 40 * 3
+        assert list((tmp_path / "bad").iterdir()) == [blocker]
+
     def test_inputs_never_mutated(self, tmp_path):
         frames = [block_texture(i, rows=8, cols=8) for i in range(3)]
         write_gray_sequence(tmp_path / "in", "clip", frames)
@@ -437,7 +459,7 @@ class TestRunPipeline:
             gray = read_image(tmp_path / "out" / f"clip_enhanced_{index:03d}.pgm")
             gray_sse += squared_error_total(gray, noised(rgb_to_luma(frame), index, 0))
             color = read_image(tmp_path / "out" / f"clip_enhanced_{index:03d}.ppm")
-            for slot, (ours, clean) in enumerate(zip(color.planes(), frame.planes()), start=1):
+            for slot, (ours, clean) in enumerate(zip(planes(color), planes(frame)), start=1):
                 color_sse += squared_error_total(ours, noised(clean, index, slot))
         samples = len(frames) * 16 * 16
         assert report.gray_psnr_db == pytest.approx(PsnrResult.from_mse(gray_sse / samples).psnr_db)
@@ -459,6 +481,38 @@ class TestRunPipeline:
             run_pipeline(small_config(tmp_path))
         assert list((tmp_path / "out").glob("*enhanced*")) == []
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_run_leaves_no_late_write_and_no_thread(self, tmp_path, monkeypatch, jobs):
+        frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(6)]
+        write_gray_sequence(tmp_path / "in", "clip", frames)
+        real_enhance, real_write = pipeline_module.enhance_with_diagnostics, pipeline_module._ArtifactSink._write
+
+        def explode_on_last(frame, sigma=0.0):
+            if frame.data[0, 0] == 50:
+                raise RuntimeError("boom")
+            return real_enhance(frame, sigma)
+
+        def slow_write(sink, index, artifacts):
+            time.sleep(0.05)
+            real_write(sink, index, artifacts)
+
+        monkeypatch.setattr(pipeline_module, "enhance_with_diagnostics", explode_on_last)
+        monkeypatch.setattr(pipeline_module._ArtifactSink, "_write", slow_write)
+        before = set(threading.enumerate())
+        with pytest.raises(PipelineStageError, match="frame 5"):
+            run_pipeline(small_config(tmp_path), jobs=jobs)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        time.sleep(0.2)  # a write still queued or running would land by now
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_good_run_leaves_no_thread(self, tmp_path, jobs):
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=8, cols=8) for i in range(4)])
+        before = set(threading.enumerate())
+        run_pipeline(small_config(tmp_path), jobs=jobs)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert len(list((tmp_path / "out").iterdir())) == 4 * 3 + 1
 
     def test_rejects_bad_jobs(self, tmp_path):
         with pytest.raises(ConfigurationError):

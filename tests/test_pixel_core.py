@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+from conftest import from_planes, planes
 
 from lumaforge import (
     BT601_WEIGHTS,
@@ -63,8 +64,8 @@ class TestBuffers:
     def test_color_channels(self):
         arr = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
         buf = ColorBuffer(arr)
-        assert buf.channel(0).data.tolist() == [[0, 3], [6, 9]]
-        assert ColorBuffer.from_planes(*buf.planes()) == buf
+        assert planes(buf)[0].data.tolist() == [[0, 3], [6, 9]]
+        assert from_planes(*planes(buf)) == buf
 
     def test_messages_and_repr_name_the_buffer_kind(self):
         with pytest.raises(ConfigurationError, match=r"^PixelBuffer expects a 2-d array, got shape \(2, 2, 3\)$"):

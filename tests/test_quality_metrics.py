@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -21,8 +21,22 @@ from lumaforge import (
     load_histogram,
     psnr,
 )
+from lumaforge import quality_metrics
+from lumaforge.quality_metrics import histogram_csv
+from lumaforge.luma_equalize import N_LEVELS
 
 frames = npst.arrays(np.uint8, st.tuples(st.integers(1, 10), st.integers(1, 10)))
+
+
+@st.composite
+def histograms(draw):
+    """A gray (area rows * cols) or color (3 * rows * cols) histogram; levels may hold 0 or every sample."""
+    area = draw(st.sampled_from([1, 3])) * draw(st.integers(1, 288)) * draw(st.integers(1, 352))
+    occupied = draw(st.integers(1, N_LEVELS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros(N_LEVELS, dtype=np.int64)
+    counts[rng.choice(N_LEVELS, occupied, replace=False)] = rng.multinomial(area, np.full(occupied, 1 / occupied))
+    return Histogram(counts)
 
 # gray/color PSNR pairs published for the six samples, with the improvement
 # the formula actually yields (the source prints 12.45 for the first row; the
@@ -164,6 +178,26 @@ class TestHistogramCsv:
             loaded = load_histogram(path)
         assert loaded == hist
         assert np.max(np.abs(loaded.mass - hist.mass)) <= 1e-9
+
+    @pytest.mark.parametrize("cache", ["cleared", "full"])
+    @given(hist=histograms())
+    @example(hist=Histogram(np.eye(N_LEVELS, dtype=np.int64)[7] * 3 * 144 * 176))
+    def test_cell_cache_gives_the_uncached_bytes(self, cache, hist):
+        cell = quality_metrics._cell
+        if cache == "cleared":
+            cell.cache_clear()
+        else:
+            for count in range(cell.cache_info().maxsize + 1):
+                cell(count, 2**40)
+            assert cell.cache_info().currsize == cell.cache_info().maxsize
+        area = hist.area
+        counts = hist.counts.tolist()
+        uncached = [f"{level},{c},{c / area:.9e}" for level, c in enumerate(counts)]
+        numpy_mass = [f"{level},{c},{m:.9e}" for level, (c, m) in enumerate(zip(counts, hist.mass.tolist()))]
+        assert uncached == numpy_mass
+        expected = "\n".join(["level,count,probability", *uncached]) + "\n"
+        assert histogram_csv(hist) == expected.encode("ascii")
+        assert histogram_csv(hist) == expected.encode("ascii")  # now from cached cells
 
     def test_load_rejects_malformed(self, tmp_path):
         from lumaforge import IngestionError
