@@ -13,6 +13,7 @@ stage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -171,6 +172,15 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
     return PipelineConfig.from_mapping(mapping)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError raised while writing to `path` is a pipeline error (exit 3) that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise PipelineStageError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def _jobs(args: argparse.Namespace) -> int:
     return getattr(args, "jobs", 1)
 
@@ -208,7 +218,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.output:
-        report.save(args.output)
+        with _writing(args.output):
+            report.save(args.output)
     return 0
 
 
@@ -218,9 +229,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(aligned, end="")
     if args.table_dir:
         table_dir = Path(args.table_dir)
-        table_dir.mkdir(parents=True, exist_ok=True)
-        (table_dir / "table.csv").write_text(csv_text, encoding="utf-8")
-        (table_dir / "table.txt").write_text(aligned, encoding="utf-8")
+        with _writing(table_dir):
+            table_dir.mkdir(parents=True, exist_ok=True)
+            (table_dir / "table.csv").write_text(csv_text, encoding="utf-8")
+            (table_dir / "table.txt").write_text(aligned, encoding="utf-8")
         print(f"tables: {table_dir / 'table.csv'}, {table_dir / 'table.txt'}")
     return 0
 

@@ -111,10 +111,10 @@ def poisson(frame: PixelBuffer | ColorBuffer, seed: int) -> PixelBuffer | ColorB
     """Draw each output from Poisson(lambda = clean 8-bit value), clamped to 255.
 
     Inverts the tabulated CDF of the clamped Poisson with one uniform per
-    pixel: the output is the smallest k with cdf[lambda, k] >= u, found by a
-    short upward walk from the guide-table start. Pixel i's output depends
-    only on (seed, i, lambda_i), never on its neighbors. An all-zero frame is
-    a fixed point.
+    pixel: the output is the smallest k with cdf[lambda, k] >= u, found from
+    the guide-table start by one step, then by 8 rounds of bisection for the
+    ~1% of pixels still short. Pixel i's output depends only on (seed, i,
+    lambda_i), never on its neighbors. An all-zero frame is a fixed point.
     """
     return apply_noise(frame, NoiseSpec("poisson", 0.0, seed))
 
@@ -183,39 +183,55 @@ def _poisson_tables() -> tuple[np.ndarray, np.ndarray]:
     cdf[lam*256 + k] = P(min(X, 255) <= k), taken as 1 minus the normalized
     upper tail so that it is monotone, never above 1, and exactly 1 wherever
     the tail is below double resolution; column 255 is 1.0, which is the
-    clamp. guide[lam*256 + j] is the smallest k with cdf > j/256: a search for
-    u in [j/256, (j+1)/256) may start there and needs fewer than two
-    comparisons on average (the cutpoint method of Chen & Asau, 1974). Built
-    on first use; both arrays are read-only.
+    clamp. guide[lam*256 + j] is the smallest k with cdf > j/256, where the
+    search for any u in [j/256, (j+1)/256) may start (Chen & Asau, 1974; no
+    cdf entry equals a cutpoint). As cdf <= j/256 iff ceil(256*cdf) <= j, it
+    is a cumulative bincount. Rows are built 16 at a time, so temporaries
+    stay near 64 KB. Built on first use; both arrays are read-only.
     """
     # P(Poisson(255) > 511) is below 1e-50, so the pmf stops at k = 511
-    k = np.arange(512)
-    log_k_factorial = np.array([math.lgamma(i + 1.0) for i in k])
-    cutpoints = np.arange(256) / 256.0
+    k = np.arange(512.0)
+    log_k_factorial = np.array([math.lgamma(i + 1.0) for i in range(512)])
     cdf = np.ones((256, 256))
     guide = np.zeros((256, 256), dtype=np.uint8)  # lam = 0 always gives 0
-    for lam in range(1, 256):
-        pmf = np.exp(k * math.log(lam) - lam - log_k_factorial)
-        above = np.cumsum(pmf[:0:-1])[::-1]  # above[k] = P(X > k)
-        cdf[lam, :255] = 1.0 - above[:255] / pmf.sum()
-        guide[lam] = np.searchsorted(cdf[lam], cutpoints, side="right")
+    for first in range(1, 256, 16):
+        lam = np.arange(first, min(first + 16, 256), dtype=np.float64)[:, None]
+        log_lam = np.array([[math.log(i)] for i in range(first, first + len(lam))])
+        pmf = np.exp(k * log_lam - lam - log_k_factorial)
+        above = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]  # above[:, k] = P(X > k)
+        cdf[first:first + 16, :255] = 1.0 - above[:, :255] / pmf.sum(axis=1, keepdims=True)
+        cells = np.ceil(256.0 * cdf[first:first + 16]).astype(np.intp) + 257 * np.arange(len(lam))[:, None]
+        counts = np.bincount(cells.ravel(), minlength=257 * len(lam)).reshape(-1, 257)
+        guide[first:first + 16] = np.cumsum(counts, axis=1)[:, :256]
     cdf, guide = cdf.ravel(), guide.ravel()
     cdf.flags.writeable = guide.flags.writeable = False
     return cdf, guide
 
 
-def _poisson(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    cdf, guide = _poisson_tables()
-    row = plane.ravel().astype(np.intp) << 8
-    u = site_uniforms(seed, row.size)
-    # u can round to exactly 1.0; masking sends it to cutpoint 0, a valid
-    # (if longer) start for any u
-    at = row + guide[row + ((u * 256.0).astype(np.intp) & 255)]
+def _poisson_search(cdf: np.ndarray, guide: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per pixel, np.searchsorted(cdf[lam*256 : lam*256 + 256], u) as uint8, for u in (0, 1]."""
+    at = np.left_shift(lam, 8, dtype=np.intp)  # row lam of the tables; from here on the low byte of `at` is k
+    cell = (u * 256.0).astype(np.intp)
+    np.minimum(cell, 255, out=cell)  # u = 1.0 starts in the top cell
+    cell += at
+    at += guide[cell]
+    # the guide start settles ~90% of pixels and one step ~90% of the rest
     pending = np.flatnonzero(cdf[at] < u)
-    while pending.size:
-        at[pending] += 1
-        pending = pending[cdf[at[pending]] < u[pending]]
-    return (at - row).astype(np.uint8).reshape(plane.shape)
+    at[pending] += 1
+    pending = pending[cdf[at[pending]] < u[pending]]
+    # bisection: lo keeps cdf[lo] < u and climbs by halving steps, capped at
+    # row + 255, where cdf is 1.0; 128 + 64 + ... + 1 = 255 spans any gap
+    lo, top, v = at[pending], at[pending] | 255, u[pending]
+    for step in (128, 64, 32, 16, 8, 4, 2, 1):
+        probe = np.minimum(lo + step, top)
+        lo = np.where(cdf[probe] < v, probe, lo)
+    at[pending] = lo + 1
+    return at.astype(np.uint8)
+
+
+def _poisson(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
+    k = _poisson_search(*_poisson_tables(), plane.ravel(), site_uniforms(seed, plane.size))
+    return k.reshape(plane.shape)
 
 
 def _speckle(plane: np.ndarray, d: float, seed: int) -> np.ndarray:

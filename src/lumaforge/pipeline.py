@@ -314,14 +314,20 @@ class _ArtifactSink:
         self._written: list[Path] = []
         self._error: PipelineStageError | None = None
 
-    def put(self, index: int, artifacts: list[tuple[Path, bytes]]) -> None:
-        """Queue frame `index`, blocking while _WAITING_FRAMES frames wait; raises the first failed write."""
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        self.close(failed=kind is not None)
+
+    def put(self, what: str, artifacts: list[tuple[Path, bytes]]) -> None:
+        """Queue `what` ("frame N"), blocking while _WAITING_FRAMES wait; raises the first failed write."""
         if self._error is not None:
             raise self._error
         self._slots.acquire()
-        self._writer.submit(self._write, index, artifacts).add_done_callback(lambda _: self._slots.release())
+        self._writer.submit(self._write, what, artifacts).add_done_callback(lambda _: self._slots.release())
 
-    def _write(self, index: int, artifacts: list[tuple[Path, bytes]]) -> None:
+    def _write(self, what: str, artifacts: list[tuple[Path, bytes]]) -> None:
         for path, data in artifacts if self._error is None else ():
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -333,7 +339,7 @@ class _ArtifactSink:
                 finally:
                     os.close(fd)
             except OSError as exc:
-                self._error = PipelineStageError(f"frame {index}: {exc}")
+                self._error = PipelineStageError(f"{what}: {exc}")
                 return
 
     def close(self, failed: bool) -> None:
@@ -364,13 +370,14 @@ def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
 def _run_frames(
     cfg: PipelineConfig,
     jobs: int,
+    sink: _ArtifactSink,
     *,
     native: bool = False,
     enhance: bool = True,
     score: bool = False,
     infix: str = "enhanced",
 ):
-    """The one frame loop: ingest, then `jobs` workers decode, process and write each frame.
+    """The one frame loop: ingest, then `jobs` workers decode and process each frame for `sink`.
 
     Frames take the paths of cfg.mode, or of the sequence's native kind when
     `native` is set. Returns the sequence and, per frame in index order, one
@@ -381,12 +388,14 @@ def _run_frames(
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     sequence = ingest_frames(cfg.input_dir)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
     name = cfg.sample_name or sequence.name
     pad = max(3, len(str(len(sequence.paths) - 1)))
     mode = sequence.native_kind if native else cfg.mode
     kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]
-    sink = _ArtifactSink()
 
     def work(index: int):
         try:
@@ -406,21 +415,14 @@ def _run_frames(
                 outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
         except Exception as exc:
             raise PipelineStageError(f"frame {index}: {exc}") from exc
-        sink.put(index, artifacts)
+        sink.put(f"frame {index}", artifacts)
         return outputs
 
     indices = range(len(sequence.paths))
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                frames = list(pool.map(work, indices))
-        else:
-            frames = [work(index) for index in indices]
-    except BaseException:
-        sink.close(failed=True)
-        raise
-    sink.close(failed=False)
-    return sequence, frames
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return sequence, list(pool.map(work, indices))
+    return sequence, [work(index) for index in indices]
 
 
 def _improvement(gray_db: float | None, color_db: float | None) -> float | None:
@@ -437,29 +439,30 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
 
     Frames are processed by a pool of `jobs` workers; per-frame squared-error
     totals are integers merged in frame order, so the pooled PSNR (and every
-    output byte) is identical for any worker count. Any stage failure removes
-    the partial outputs and raises PipelineStageError with the frame index.
+    output byte) is identical for any worker count. Any failed stage or write,
+    report.json last, removes this run's files and raises PipelineStageError.
     """
-    sequence, frames = _run_frames(cfg, jobs, score=True)
-    dims = cfg.resize_to if cfg.resize_to is not None else sequence.dims
+    with _ArtifactSink() as sink:
+        sequence, frames = _run_frames(cfg, jobs, sink, score=True)
+        dims = cfg.resize_to if cfg.resize_to is not None else sequence.dims
 
-    def pooled_psnr(kind: str) -> float | None:
-        sse = [frame_sse for outputs in frames for k, _, frame_sse in outputs if k == kind]
-        samples = len(sse) * dims.area * (1 if kind == "gray" else 3)
-        return PsnrResult.from_mse(sum(sse) / samples).psnr_db if sse else None
+        def pooled_psnr(kind: str) -> float | None:
+            sse = [frame_sse for outputs in frames for k, _, frame_sse in outputs if k == kind]
+            samples = len(sse) * dims.area * (1 if kind == "gray" else 3)
+            return PsnrResult.from_mse(sum(sse) / samples).psnr_db if sse else None
 
-    gray_psnr, color_psnr = pooled_psnr("gray"), pooled_psnr("color")
-    report = MetricsReport(
-        sample_name=cfg.sample_name or sequence.name,
-        n_frames=len(frames),
-        frame_dims=(dims.rows, dims.cols),
-        pipeline_config_digest=cfg.digest(),
-        gray_psnr_db=gray_psnr,
-        color_psnr_db=color_psnr,
-        improvement_pct=_improvement(gray_psnr, color_psnr),
-        size_label=cfg.size_label,
-    )
-    report.save(Path(cfg.output_dir) / "report.json")
+        gray_psnr, color_psnr = pooled_psnr("gray"), pooled_psnr("color")
+        report = MetricsReport(
+            sample_name=cfg.sample_name or sequence.name,
+            n_frames=len(frames),
+            frame_dims=(dims.rows, dims.cols),
+            pipeline_config_digest=cfg.digest(),
+            gray_psnr_db=gray_psnr,
+            color_psnr_db=color_psnr,
+            improvement_pct=_improvement(gray_psnr, color_psnr),
+            size_label=cfg.size_label,
+        )
+        sink.put("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())])
     return report
 
 
@@ -488,9 +491,10 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
         noise=cfg.noise if stage == "noise" else None,
         filter=cfg.filter if stage == "filter" else None,
     )
-    _, frames = _run_frames(
-        steps, jobs, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
-    )
+    with _ArtifactSink() as sink:
+        _, frames = _run_frames(
+            steps, jobs, sink, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
+        )
     return [path for outputs in frames for _, path, _ in outputs]
 
 
@@ -517,6 +521,11 @@ def _format_db(value: float | None) -> str:
     return f"{value:.2f}"
 
 
+def _csv_cell(text: str) -> str:
+    """A CSV cell, quoted with its quotes doubled only when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
     """Render reports as (csv_text, aligned_text), one row per sample.
 
@@ -541,7 +550,7 @@ def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
                 f"{improvement:.2f}" if improvement is not None else "n/a",
             ]
         )
-    csv_text = "\n".join(",".join(row) for row in rows) + "\n"
+    csv_text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
     aligned = "\n".join(
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()

@@ -209,8 +209,11 @@ class MetricsReport:
         except (KeyError, OverflowError) as exc:  # a missing field; an integer beyond float range
             raise IngestionError(f"malformed metrics report: {exc}") from exc
 
+    def to_json_bytes(self) -> bytes:
+        return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("ascii")
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="ascii")
+        Path(path).write_bytes(self.to_json_bytes())
 
     @classmethod
     def load(cls, path) -> "MetricsReport":

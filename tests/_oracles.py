@@ -7,6 +7,8 @@ Expected values frozen in the test modules were produced by these.
 
 import math
 
+import numpy as np
+
 
 def median_lower(values):
     """Lower of the two middle order statistics (the middle one for odd counts)."""
@@ -65,3 +67,22 @@ def oracle_equalize(grid, sigma=0.0):
         running += counts[level] / area + sigma
         table.append(min(255, max(0, math.floor(running * 255 + 0.5))))
     return [[table[v] for v in row] for row in grid]
+
+
+def oracle_poisson_tables():
+    """Flattened (cdf, guide) of min(Poisson(lam), 255), built one lam row at a time.
+
+    The row-at-a-time numpy build the library used before its row-block build;
+    the library's tables must equal these bit for bit.
+    """
+    k = np.arange(512)
+    log_k_factorial = np.array([math.lgamma(i + 1.0) for i in k])
+    cutpoints = np.arange(256) / 256.0
+    cdf = np.ones((256, 256))
+    guide = np.zeros((256, 256), dtype=np.uint8)
+    for lam in range(1, 256):
+        pmf = np.exp(k * math.log(lam) - lam - log_k_factorial)
+        above = np.cumsum(pmf[:0:-1])[::-1]  # above[k] = P(X > k)
+        cdf[lam, :255] = 1.0 - above[:255] / pmf.sum()
+        guide[lam] = np.searchsorted(cdf[lam], cutpoints, side="right")
+    return cdf.ravel(), guide.ravel()

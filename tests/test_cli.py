@@ -316,6 +316,14 @@ class TestMetricsAndReport:
         assert not (tmp_path / "tables").exists()
 
 
+def assert_one_pipeline_error(code, capsys, path):
+    """Exit 3 with one stderr line, a pipeline error naming `path`."""
+    assert code == 3
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("pipeline error: ") and str(path) in err_lines[0]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, sequence_dir, tmp_path, capsys):
         code = main([
@@ -367,6 +375,43 @@ class TestExitCodes:
         assert err_lines[0].startswith("pipeline error: frame 2: ") and str(blocker) in err_lines[0]
         assert blocker.is_dir()
         assert list(out.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("command", ["run", "luma", "enhance"])
+    def test_an_output_dir_that_is_a_file_is_3(self, tmp_path, sequence_dir, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code = main([command, "--input-dir", str(sequence_dir), "--output-dir", str(taken)])
+        assert_one_pipeline_error(code, capsys, taken)
+        assert taken.read_text() == "not a directory"
+
+    def test_a_report_that_cannot_be_written_removes_the_run(self, tmp_path, sequence_dir, capsys):
+        out = tmp_path / "out"
+        blocker = out / "report.json"
+        blocker.mkdir(parents=True)
+        code = main(["run", "--input-dir", str(sequence_dir), "--output-dir", str(out)])
+        assert_one_pipeline_error(code, capsys, blocker)
+        assert blocker.is_dir() and list(out.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("where", ["a_directory", "a_missing_parent"])
+    def test_a_metrics_output_that_cannot_be_written_is_3(self, tmp_path, sequence_dir, capsys, where):
+        target = tmp_path / "taken" if where == "a_directory" else tmp_path / "missing" / "m.json"
+        if where == "a_directory":
+            target.mkdir()
+        code = main([
+            "metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
+            "--output", str(target),
+        ])
+        assert_one_pipeline_error(code, capsys, target)
+        assert not (tmp_path / "missing").exists()
+
+    def test_a_report_output_dir_that_is_a_file_is_3(self, tmp_path, sequence_dir, capsys):
+        assert main(["run", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code = main(["report", str(tmp_path / "out" / "report.json"), "--output-dir", str(taken)])
+        assert_one_pipeline_error(code, capsys, taken)
+        assert taken.read_text() == "not a directory"
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+from _oracles import oracle_poisson_tables
 
 from lumaforge import (
     NOISE_KINDS,
@@ -351,6 +353,51 @@ class TestPoisson:
     def test_deterministic(self, seed):
         frame = PixelBuffer(np.arange(64, dtype=np.uint8).reshape(8, 8))
         assert poisson(frame, seed) == poisson(frame, seed)
+
+
+class TestPoissonSearch:
+    def test_edges_match_the_plain_search_for_every_rate(self):
+        cdf, guide = noise_models._poisson_tables()
+        cuts = np.arange(1, 257) / 256.0
+        u = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0), [1.0 - 2.0**-53, 2.0**-53]])
+        u = np.unique(u[u <= 1.0])  # 1.0 is the last cutpoint; 1 - 2**-53 is its lower neighbour
+        for lam in range(256):
+            found = noise_models._poisson_search(cdf, guide, np.full(u.size, lam, dtype=np.uint8), u)
+            assert np.array_equal(found, np.searchsorted(cdf[lam * 256 : lam * 256 + 256], u)), lam
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 255), st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(255 / 256, 1.0))),
+        min_size=1, max_size=64,
+    ))
+    def test_random_pairs_match_the_plain_search(self, pairs):
+        cdf, guide = noise_models._poisson_tables()
+        lam = np.array([rate for rate, _ in pairs], dtype=np.uint8)
+        u = np.array([draw for _, draw in pairs])
+        expected = [int(np.searchsorted(cdf[rate * 256 : rate * 256 + 256], draw)) for rate, draw in pairs]
+        assert noise_models._poisson_search(cdf, guide, lam, u).tolist() == expected
+
+
+class TestPoissonTables:
+    def test_equal_the_row_at_a_time_build(self):
+        cdf, guide = noise_models._poisson_tables()
+        oracle_cdf, oracle_guide = oracle_poisson_tables()
+        assert cdf.dtype == np.float64 and guide.dtype == np.uint8
+        assert np.array_equal(cdf.view(np.int64), oracle_cdf.view(np.int64))
+        assert np.array_equal(guide, oracle_guide)
+        assert not cdf.flags.writeable and not guide.flags.writeable
+
+    def test_build_peak_stays_under_one_megabyte(self):
+        # cdf and guide are 576 KB themselves; a build over all rows at once
+        # holds several 1 MB temporaries
+        assert not tracemalloc.is_tracing()
+        noise_models._poisson_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            noise_models._poisson_tables()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpeckle:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -699,6 +701,15 @@ class TestReportTable:
         row = csv_text.strip().splitlines()[1].split(",")
         assert row[3] == "inf"
         assert row[5] == "n/a"  # improvement undefined against an infinite side
+
+    def test_csv_round_trips_names_that_need_quoting(self):
+        names = ["a,b", 'say "hi"', "two\nlines", "plain", 'all, "three"\r\n']
+        reports = [dataclasses.replace(self.make_reports()[0], sample_name=name, size_label=name) for name in names]
+        csv_text, _ = report_table(reports)
+        rows = list(csv.reader(io.StringIO(csv_text, newline="")))
+        assert [len(row) for row in rows] == [6] * (1 + len(names))
+        assert [row[0] for row in rows[1:]] == names and [row[1] for row in rows[1:]] == names
+        assert "\nplain,plain,157,31.95,36.45,12.35\n" in csv_text
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
