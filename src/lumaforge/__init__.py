@@ -50,7 +50,6 @@ from .pixel_core import (
 from .quality_metrics import (
     MetricsReport,
     PsnrResult,
-    export_histogram,
     improvement_pct,
     load_histogram,
     psnr,

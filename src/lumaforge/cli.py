@@ -19,6 +19,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._declared import read_json
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .noise_models import NOISE_KINDS
 from .pipeline import (
@@ -134,12 +135,7 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
     mapping: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError(f"{config_path}: cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{config_path}: invalid JSON: {exc}") from exc
+        data = read_json(config_path, "config", ConfigurationError)
         if not isinstance(data, dict):
             raise ConfigurationError(f"{config_path}: config must be a JSON object")
         mapping = data
@@ -210,7 +206,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     report = MetricsReport(
         sample_name=cfg.sample_name or result.name,
         n_frames=len(result.paths),
-        frame_dims=(result.dims.rows, result.dims.cols),
+        frame_dims=result.dims,
         pipeline_config_digest=cfg.digest(),
         gray_psnr_db=pooled.psnr_db if kind == "gray" else None,
         color_psnr_db=pooled.psnr_db if kind == "color" else None,

@@ -26,10 +26,10 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
+from ._declared import build
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .luma_equalize import enhance_with_diagnostics
 from .netpbm import encode_image, read_dims, read_image
@@ -182,57 +182,10 @@ class PipelineConfig:
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":
         """The inverse of to_mapping; fields with a default may be left out."""
-        cfg = _build(cls, data, "config")
+        cfg = build(cls, data, "config", ConfigurationError)
         if cfg.noise is not None and "seed" not in data["noise"]:
             cfg.noise = replace(cfg.noise, seed=cfg.seed)
         return cfg
-
-
-# JSON types a scalar field takes, and their name in errors; a bool is no number
-_SCALARS = {
-    str: (str, "a string"),
-    Path: ((str, Path), "a path"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-}
-
-
-def _build(cls, value, what: str):
-    """A JSON value as type hint `cls`: a scalar, `X | None`, or a config dataclass.
-
-    A dataclass takes an object keyed by field name; number-only ones also
-    take a list in field order. The dataclasses check the values themselves.
-    """
-    args = get_args(cls)
-    if type(None) in args:
-        return None if value is None else _build(next(a for a in args if a is not type(None)), value, what)
-    if cls in _SCALARS:
-        types, expected = _SCALARS[cls]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
-        try:
-            return cls(value)
-        except OverflowError as exc:
-            raise ConfigurationError(f"{what} must be finite, got an integer too large for a float") from exc
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    listable = all(hints[name] in (int, float) for name in names)
-    if listable and isinstance(value, (list, tuple)) and len(value) == len(names):
-        value = dict(zip(names, value))
-    if not isinstance(value, dict):
-        form = f"[{', '.join(names)}] or an object" if listable else "an object"
-        raise ConfigurationError(f"{what} must be {form}, got {value!r}")
-    unknown = set(value) - set(names)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in value:
-            label = f.name if what == "config" else f"{what} {f.name}"
-            kwargs[f.name] = _build(hints[f.name], value[f.name], label)
-        elif f.default is MISSING:
-            raise ConfigurationError(f"{what} is missing required field {f.name!r}")
-    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -455,7 +408,7 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
         report = MetricsReport(
             sample_name=cfg.sample_name or sequence.name,
             n_frames=len(frames),
-            frame_dims=(dims.rows, dims.cols),
+            frame_dims=dims,
             pipeline_config_digest=cfg.digest(),
             gray_psnr_db=gray_psnr,
             color_psnr_db=color_psnr,

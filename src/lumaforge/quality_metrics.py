@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._declared import build, read_json
 from .errors import ConfigurationError, IngestionError
 from .luma_equalize import N_LEVELS, Histogram
-from .pixel_core import ColorBuffer, PixelBuffer
+from .pixel_core import ColorBuffer, Dimensions, PixelBuffer
 
 PEAK_VALUE = 255
 
@@ -31,7 +32,6 @@ __all__ = [
     "psnr",
     "improvement_pct",
     "histogram_csv",
-    "export_histogram",
     "load_histogram",
 ]
 
@@ -107,11 +107,6 @@ def histogram_csv(hist) -> bytes:
     return b"level,count,probability\n" + rows.encode("ascii")
 
 
-def export_histogram(hist, path) -> None:
-    """Write histogram_csv(hist) to path."""
-    Path(path).write_bytes(histogram_csv(hist))
-
-
 def load_histogram(path) -> Histogram:
     """Parse a histogram CSV back into a Histogram (exact via the count column)."""
     path = Path(path)
@@ -136,32 +131,8 @@ def load_histogram(path) -> Histogram:
     return Histogram(counts)
 
 
-def _encode_db(value: float | None):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf"
-    return float(value)
-
-
-def _field(data: dict, key: str, types, optional: bool = False):
-    """data[key] if it has one of types (a bool is no number), or None for an absent optional field."""
-    value = data.get(key) if optional else data[key]
-    if not (value is None and optional or _is(value, types)):
-        raise IngestionError(f"malformed metrics report: {key} has the wrong type: {value!r}")
-    return value
-
-
-def _is(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _decode_db(data: dict, key: str) -> float | None:
-    """An optional number field as a float; "inf" stands for infinity (an infinite PSNR)."""
-    if data.get(key) == "inf":
-        return math.inf
-    value = _field(data, key, (int, float), optional=True)
-    return None if value is None else float(value)
+# the number fields in which the string "inf" stands for infinity (an infinite PSNR)
+_INF_FIELDS = ("gray_psnr_db", "color_psnr_db", "improvement_pct")
 
 
 @dataclass
@@ -174,40 +145,25 @@ class MetricsReport:
 
     sample_name: str
     n_frames: int
-    frame_dims: tuple[int, int]
+    frame_dims: Dimensions
     pipeline_config_digest: str
     gray_psnr_db: float | None = None
     color_psnr_db: float | None = None
     improvement_pct: float | None = None
     size_label: str | None = None
 
+    def __post_init__(self):
+        # ingestion rejects an empty directory, so no run reports fewer frames
+        if self.n_frames < 1:
+            raise ConfigurationError(f"n_frames must be at least 1, got {self.n_frames}")
+
     def to_json_dict(self) -> dict:
         data = asdict(self)  # field order is the report's key order
-        data["frame_dims"] = list(self.frame_dims)
-        for key in ("gray_psnr_db", "color_psnr_db"):
-            data[key] = _encode_db(data[key])
+        data["frame_dims"] = [self.frame_dims.rows, self.frame_dims.cols]
+        for key in _INF_FIELDS:
+            if data[key] == math.inf:
+                data[key] = "inf"
         return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MetricsReport":
-        if not isinstance(data, dict):
-            raise IngestionError(f"malformed metrics report: not a JSON object: {data!r}")
-        try:
-            dims = data["frame_dims"]
-            if not (isinstance(dims, list) and len(dims) == 2 and all(_is(n, int) for n in dims)):
-                raise IngestionError(f"malformed metrics report: frame_dims must be [rows, cols], got {dims!r}")
-            return cls(
-                sample_name=_field(data, "sample_name", str),
-                n_frames=_field(data, "n_frames", int),
-                frame_dims=(dims[0], dims[1]),
-                pipeline_config_digest=_field(data, "pipeline_config_digest", str),
-                gray_psnr_db=_decode_db(data, "gray_psnr_db"),
-                color_psnr_db=_decode_db(data, "color_psnr_db"),
-                improvement_pct=_decode_db(data, "improvement_pct"),
-                size_label=_field(data, "size_label", str, optional=True),
-            )
-        except (KeyError, OverflowError) as exc:  # a missing field; an integer beyond float range
-            raise IngestionError(f"malformed metrics report: {exc}") from exc
 
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("ascii")
@@ -217,9 +173,8 @@ class MetricsReport:
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="ascii"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IngestionError(f"{path}: cannot read metrics report: {exc}") from exc
-        return cls.from_json_dict(data)
+        """Read a report JSON file; one that is not a valid report raises IngestionError."""
+        data = read_json(path, "metrics report", IngestionError)
+        if isinstance(data, dict):
+            data = {key: math.inf if key in _INF_FIELDS and value == "inf" else value for key, value in data.items()}
+        return build(cls, data, "metrics report", IngestionError)

@@ -201,13 +201,20 @@ class TestOverrideTable:
         # the noise section inherits the run seed, but the error is the run seed's
         ("seed-inherited", {"seed": "x", "noise": {"kind": "gaussian"}}, "seed must be an integer, got 'x'"),
         ("sigma-huge", {"sigma": 10**400}, "sigma must be finite, got an integer too large for a float"),
+        # raw bytes, written as they are; the error names the file, shown here as cfg.json
+        ("not-utf8", b'{"input_dir": "caf\xe9"}',
+         "cfg.json: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 18: invalid continuation byte"),
     ]])
     def test_a_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, body, line):
         monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"input_dir": "in", "output_dir": str(tmp_path / "out"), **body}))
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(json.dumps({"input_dir": "in", "output_dir": str(tmp_path / "out"), **body}))
         assert main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {line}"]
+        err = capsys.readouterr().err.replace(str(path), "cfg.json")
+        assert err.strip().splitlines() == [f"error: {line}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -231,6 +238,10 @@ class TestStageCommands:
             assert list(out_dir.glob("*.pgm"))
             previous = out_dir
         assert len(list((tmp_path / "d").glob("*_enhanced_*.pgm"))) == 3
+
+
+# the required fields of a metrics report, as raw JSON text without the closing brace
+_REPORT_HEAD = '{"sample_name": "clip", "n_frames": 3, "frame_dims": [144, 176], "pipeline_config_digest": "d"'
 
 
 class TestMetricsAndReport:
@@ -301,6 +312,16 @@ class TestMetricsAndReport:
         pytest.param({"improvement_pct": "zz"}, id="improvement_pct"),
         pytest.param({"frame_dims": [144]}, id="frame_dims"),
         pytest.param([1, 2], id="not_an_object"),
+        pytest.param({"frame_dims": [0, 0]}, id="frame_dims_zero"),
+        pytest.param({"n_frames": -4}, id="n_frames_negative"),
+        pytest.param({"frames": 3}, id="unknown_key"),
+        pytest.param({"sample_name": "\ud800"}, id="lone_surrogate_name"),
+        # raw text: what json.dumps would not write
+        pytest.param(_REPORT_HEAD + ', "gray_psnr_db": NaN}', id="nan"),
+        pytest.param(_REPORT_HEAD + ', "color_psnr_db": -Infinity}', id="minus_infinity"),
+        pytest.param(_REPORT_HEAD + ', "improvement_pct": 1e400}', id="literal_beyond_float"),
+        pytest.param((_REPORT_HEAD + ', "size_label": "caf\u00e9"}').encode("latin-1"), id="byte_0xe9"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep_nesting"),
     ])
     def test_malformed_report_is_an_ingestion_error(self, tmp_path, capsys, body):
         report = {
@@ -309,7 +330,9 @@ class TestMetricsAndReport:
             "improvement_pct": None, "size_label": None,
         }
         path = tmp_path / "r.json"
-        path.write_text(json.dumps({**report, **body} if isinstance(body, dict) else body))
+        if isinstance(body, (dict, list)):
+            body = json.dumps({**report, **body} if isinstance(body, dict) else body)
+        path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
         assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 2
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error:")
@@ -528,6 +551,10 @@ class TestConfigValidation:
         before = sorted(tmp_path.rglob("*"))
         self.assert_config_error(argv, tmp_path, capsys)
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_a_size_label_the_file_system_cannot_encode(self, tmp_path, sequence_dir, capsys):
+        argv = self.run_config(sequence_dir, tmp_path, size_label="\ud800")
+        self.assert_config_error(argv, tmp_path, capsys)
 
     @pytest.mark.parametrize("dims", [[10**30, 5], [8193, 8193]], ids=["huge", "just_over"])
     def test_resize_beyond_sample_bound_config(self, tmp_path, sequence_dir, capsys, dims):

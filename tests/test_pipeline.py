@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import block_texture, color_block_texture, planes
 
 import lumaforge.pipeline as pipeline_module
+from lumaforge import _declared
 from lumaforge import (
     FILTER_KINDS,
     NOISE_KINDS,
@@ -205,8 +206,9 @@ class TestPipelineConfig:
             PipelineConfig(input_dir=tmp_path, output_dir=tmp_path, resize_to=Dimensions(8193, 8193))
 
     def test_from_mapping_builds_every_field_type(self):
-        # a field of a type the builder cannot parse fails here, not at run time
-        seen, pending = set(), [PipelineConfig]
+        # a field of a type the builder cannot parse fails here, not at run time;
+        # the config and the metrics report are both read by the one builder
+        seen, pending = set(), [PipelineConfig, MetricsReport]
         while pending:
             cls = pending.pop()
             for hint in get_type_hints(cls).values():
@@ -219,7 +221,7 @@ class TestPipelineConfig:
                         seen.add(hint)
                         pending.append(hint)
                 else:
-                    assert hint in pipeline_module._SCALARS, f"{cls.__name__}: no builder for {hint}"
+                    assert hint in _declared._SCALARS, f"{cls.__name__}: no builder for {hint}"
         assert seen == {Dimensions, LumaWeights, NoiseSpec, FilterSpec, FilterWindow}
 
     def test_rejects_bad_mode_and_reference(self, tmp_path):
@@ -367,7 +369,7 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert report.sample_name == "clip"
         assert report.n_frames == 3
-        assert report.frame_dims == (12, 16)
+        assert report.frame_dims == Dimensions(12, 16)
         assert report.pipeline_config_digest == cfg.digest()
         assert report.color_psnr_db is None and report.improvement_pct is None
         assert report.size_label == "7.25Mb"
@@ -434,7 +436,7 @@ class TestRunPipeline:
         report = run_pipeline(small_config(tmp_path, resize_to=Dimensions(10, 5)))
         out_frame = read_image(next(iter((tmp_path / "out").glob("*.pgm"))))
         assert out_frame.dims == Dimensions(10, 5)
-        assert report.frame_dims == (10, 5)
+        assert report.frame_dims == Dimensions(10, 5)
 
     def test_noisy_reference_changes_psnr(self, tmp_path):
         frames = [block_texture(i, rows=16, cols=16) for i in range(2)]
@@ -655,7 +657,7 @@ class TestReportTable:
             MetricsReport(
                 sample_name=name,
                 n_frames=n_frames,
-                frame_dims=(144, 176),
+                frame_dims=Dimensions(144, 176),
                 pipeline_config_digest="x",
                 gray_psnr_db=gray,
                 color_psnr_db=color,
@@ -680,7 +682,7 @@ class TestReportTable:
         report = MetricsReport(
             sample_name="solo",
             n_frames=1,
-            frame_dims=(2, 2),
+            frame_dims=Dimensions(2, 2),
             pipeline_config_digest="x",
             gray_psnr_db=20.0,
         )
@@ -692,7 +694,7 @@ class TestReportTable:
         report = MetricsReport(
             sample_name="exact",
             n_frames=1,
-            frame_dims=(2, 2),
+            frame_dims=Dimensions(2, 2),
             pipeline_config_digest="x",
             gray_psnr_db=math.inf,
             color_psnr_db=20.0,

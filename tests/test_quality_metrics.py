@@ -15,7 +15,6 @@ from lumaforge import (
     PixelBuffer,
     PsnrResult,
     enhance,
-    export_histogram,
     histogram,
     improvement_pct,
     load_histogram,
@@ -150,7 +149,7 @@ class TestHistogramCsv:
     def test_constant_frame_has_single_nonzero_row(self, tmp_path):
         hist = histogram(PixelBuffer.full(Dimensions(4, 4), 9))
         path = tmp_path / "hist.csv"
-        export_histogram(hist, path)
+        path.write_bytes(histogram_csv(hist))
         lines = path.read_text().splitlines()
         assert lines[0] == "level,count,probability"
         assert len(lines) == 257
@@ -160,7 +159,7 @@ class TestHistogramCsv:
     def test_quad_frame_rows(self, tmp_path):
         hist = histogram(PixelBuffer(np.array([[0, 0], [1, 255]], dtype=np.uint8)))
         path = tmp_path / "hist.csv"
-        export_histogram(hist, path)
+        path.write_bytes(histogram_csv(hist))
         lines = path.read_text().splitlines()
         assert lines[1] == "0,2,5.000000000e-01"
         assert lines[2] == "1,1,2.500000000e-01"
@@ -174,7 +173,7 @@ class TestHistogramCsv:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "hist.csv"
-            export_histogram(hist, path)
+            path.write_bytes(histogram_csv(hist))
             loaded = load_histogram(path)
         assert loaded == hist
         assert np.max(np.abs(loaded.mass - hist.mass)) <= 1e-9
@@ -221,7 +220,7 @@ class TestMetricsReport:
         report = MetricsReport(
             sample_name="clip",
             n_frames=3,
-            frame_dims=(144, 176),
+            frame_dims=Dimensions(144, 176),
             pipeline_config_digest="abc123",
             gray_psnr_db=math.inf,
             color_psnr_db=21.19,
@@ -239,7 +238,7 @@ class TestMetricsReport:
         report = MetricsReport(
             sample_name="clip",
             n_frames=1,
-            frame_dims=(2, 2),
+            frame_dims=Dimensions(2, 2),
             pipeline_config_digest="d",
             gray_psnr_db=31.95,
         )
@@ -247,6 +246,19 @@ class TestMetricsReport:
         report.save(path)
         loaded = MetricsReport.load(path)
         assert loaded.color_psnr_db is None and loaded.gray_psnr_db == 31.95
+
+    def test_inf_stands_for_infinity_only_in_the_number_fields(self, tmp_path):
+        report = MetricsReport(
+            sample_name="inf",
+            n_frames=1,
+            frame_dims=Dimensions(2, 2),
+            pipeline_config_digest="inf",
+            gray_psnr_db=math.inf,
+            size_label="inf",
+        )
+        path = tmp_path / "report.json"
+        report.save(path)
+        assert MetricsReport.load(path) == report
 
     def test_load_rejects_garbage(self, tmp_path):
         from lumaforge import IngestionError
