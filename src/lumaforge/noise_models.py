@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .pixel_core import ColorBuffer, PixelBuffer, round_half_up
-from .rng import U64_MAX, derive_seed, site_uniforms
+from .rng import U64_MAX, derive_seed, site_hashes, site_uniforms
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
 
@@ -100,9 +100,9 @@ def gaussian(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuff
     Per pixel: clamp(x/255 + n, 0, 1) with n ~ Normal(0, d), re-quantized by
     round-half-up. Clamping skews an all-black frame positive, as expected.
     The requantized offset out - x has one distribution for every x before
-    the clamp, so one uniform per pixel inverts a tabulated CDF of that
-    offset (built from math.erfc once per d), and the clamp is applied to
-    x + offset: the same model, sampled without a per-pixel transcendental.
+    the clamp, so one hash per pixel inverts a tabulated CDF of that offset
+    (from math.erfc once per d, as integer cutpoints), and the clamp is applied
+    to x + offset: the same model, sampled without a per-pixel transcendental.
     """
     return apply_noise(frame, NoiseSpec("gaussian", d, seed))
 
@@ -110,10 +110,10 @@ def gaussian(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuff
 def poisson(frame: PixelBuffer | ColorBuffer, seed: int) -> PixelBuffer | ColorBuffer:
     """Draw each output from Poisson(lambda = clean 8-bit value), clamped to 255.
 
-    Inverts the tabulated CDF of the clamped Poisson with one uniform per
-    pixel: the output is the smallest k with cdf[lambda, k] >= u, found from
-    the guide-table start by one step, then by 8 rounds of bisection for the
-    ~1% of pixels still short. Pixel i's output depends only on (seed, i,
+    Inverts the tabulated CDF of the clamped Poisson with one hash per pixel:
+    the output is the smallest k with cdf[lambda, k] >= u, u its uniform, by
+    integer cutpoints from the guide start, one step and 8 bisection rounds
+    for the ~1% still short. Pixel i's output depends only on (seed, i,
     lambda_i), never on its neighbors. An all-zero frame is a fixed point.
     """
     return apply_noise(frame, NoiseSpec("poisson", 0.0, seed))
@@ -127,50 +127,64 @@ def speckle(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffe
     return apply_noise(frame, NoiseSpec("speckle", d, seed))
 
 
+def _top_cuts(c: np.ndarray) -> np.ndarray:
+    """Per threshold c, the smallest m whose uniform fl(m + 0.5) * 2**-53 exceeds c (2**53 for c >= 1.0).
+
+    It is the uniform of each hash h with h >> 11 = m and lies in [m, m + 1] * 2**-53, so m is
+    floor(c * 2**53) - 1, + 1 or + 2. Returned as exact float64 integers.
+    """
+    m = np.maximum(np.floor(c * 2.0**53), 1.0) - 1.0
+    for _ in range(2):
+        m += (m + 0.5) * 2.0**-53 <= c
+    return m
+
+
 def _salt_pepper(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
+    # h < pepper iff its uniform u < d/2, and h >= salt iff u >= 1 - d/2, i.e. u > the double below 1 - d/2
+    pepper, salt = (np.uint64(int(_top_cuts(np.nextafter(c, -1.0))) << 11) for c in (d / 2.0, 1.0 - d / 2.0))
     out = plane.copy()
-    u = site_uniforms(seed, out.size).reshape(out.shape)
-    out[u < d / 2.0] = 0
-    out[u >= 1.0 - d / 2.0] = 255
+    h = site_hashes(seed, out.size).reshape(out.shape)
+    out[h < pepper] = 0
+    out[h >= salt] = 255
     return out
-
-
-_GUIDE_CUTS = 4096  # cells of the gaussian guide table
 
 
 @functools.lru_cache(maxsize=16)
 def _gaussian_tables(d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf, guide) of the requantized gaussian offset for variance d.
+    """(cut, guide) of the requantized gaussian offset for variance d, both read-only.
 
     Round-half-up of x + 255*sqrt(d)*n lands at or below x + t - 255 with
-    probability cdf[t] = Phi((t - 255 + 0.5) / (255*sqrt(d))), the same for
-    every input level x, so t = 0..510 covers every output of every x and
-    cdf[511] = 1 ends the table. The cdf is made monotone after math.erfc.
-    guide[j] is the smallest t with cdf[t] >= j/_GUIDE_CUTS, for j = 0 to
-    _GUIDE_CUTS, a lower bound on the search for any u at or above that
-    cutpoint. Built on first use for each d; both arrays are read-only.
+    probability cdf[t] = Phi((t - 255 + 0.5) / (255*sqrt(d))), made monotone
+    after math.erfc, for every input level x; t = 0..510 covers every output
+    of every x, and cdf[511] = 1. cut[t] is the smallest hash whose uniform
+    exceeds cdf[t] < 1.0, so np.searchsorted(cut, h, "right") is
+    np.searchsorted(cdf, u) for the hash h of uniform u. guide[j] is that
+    count for every hash h with h >> 50 = j, or -1 where a cutpoint splits
+    the cell. Built on first use for each d; no temporary exceeds guide's 32 KB.
     """
     scale = 255.0 * math.sqrt(d) * math.sqrt(2.0)
-    cdf = np.array([0.5 * math.erfc((254.5 - t) / scale) for t in range(511)] + [1.0])
-    np.maximum.accumulate(cdf, out=cdf)
-    guide = np.searchsorted(cdf, np.arange(_GUIDE_CUTS + 1) / _GUIDE_CUTS)
-    cdf.flags.writeable = guide.flags.writeable = False
-    return cdf, guide
+    m = _top_cuts(np.maximum.accumulate([0.5 * math.erfc((254.5 - t) / scale) for t in range(511)]))
+    m = m[m < 2.0**53]
+    cells = m * 2.0**-39  # cut[t] lies in cell floor(cells[t]), at its start if cells[t] is whole
+    counts = np.diff(np.ceil(cells), prepend=0, append=1 << 14).astype(np.intp)
+    guide = np.repeat(np.arange(m.size + 1, dtype=np.int16), counts)
+    guide[np.floor(cells[cells % 1.0 != 0]).astype(np.intp)] = -1
+    cut = m.astype(np.uint64) << np.uint64(11)
+    cut.flags.writeable = guide.flags.writeable = False
+    return cut, guide
 
 
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u) for u in (0, 1], started from the guide table."""
-    t = guide[(u * _GUIDE_CUTS).astype(np.intp)]
-    # the guide settles all but ~2% of pixels; in the tails a walk from it
-    # would take up to ~90 steps, so the rest get one plain search
-    pending = np.flatnonzero(cdf[t] < u)
-    t[pending] = np.searchsorted(cdf, u[pending])
+def _guided_search(cut: np.ndarray, guide: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cut, h, "right") as int16, read from the guide where it holds the count."""
+    t = guide.take(np.right_shift(h, np.uint64(50)).view(np.intp))
+    pending = np.flatnonzero(t < 0)  # about 1% of hashes at d = 0.01
+    t[pending] = np.searchsorted(cut, h[pending], "right")
     return t
 
 
 def _gaussian(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    cdf, guide = _gaussian_tables(float(d))
-    out = _guided_search(cdf, guide, site_uniforms(seed, plane.size)).reshape(plane.shape)
+    cut, guide = _gaussian_tables(float(d))
+    out = _guided_search(cut, guide, site_hashes(seed, plane.size)).reshape(plane.shape)
     out += plane
     out -= 255
     return np.clip(out, 0, 255, out=out).astype(np.uint8)
@@ -178,59 +192,59 @@ def _gaussian(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
 
 @functools.cache
 def _poisson_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (cdf, guide) tables of min(Poisson(lam), 255) for lam = 0..255.
+    """Flattened (last, guide) tables of min(Poisson(lam), 255) for lam = 0..255, read-only.
 
-    cdf[lam*256 + k] = P(min(X, 255) <= k), taken as 1 minus the normalized
-    upper tail so that it is monotone, never above 1, and exactly 1 wherever
-    the tail is below double resolution; column 255 is 1.0, which is the
-    clamp. guide[lam*256 + j] is the smallest k with cdf > j/256, where the
-    search for any u in [j/256, (j+1)/256) may start (Chen & Asau, 1974; no
-    cdf entry equals a cutpoint). As cdf <= j/256 iff ceil(256*cdf) <= j, it
-    is a cumulative bincount. Rows are built 16 at a time, so temporaries
-    stay near 64 KB. Built on first use; both arrays are read-only.
+    cdf[lam, k] = P(min(X, 255) <= k) is 1 minus the normalized upper tail:
+    monotone, and exactly 1 where the tail is below double resolution and in
+    column 255, the clamp. A hash is short of column k (cdf < its uniform) iff
+    it exceeds last[lam*256 + k], the largest hash whose uniform is at most
+    cdf: U64_MAX where cdf is 1.0, and also where no uniform is that small,
+    left of every guide start, so never read. guide[lam*256 + j] counts the
+    columns short at hash j << 56, a start for each hash h with h >> 56 = j
+    (Chen & Asau, 1974). Built on first use, 8 rows at a time (temps ~32 KB).
     """
     # P(Poisson(255) > 511) is below 1e-50, so the pmf stops at k = 511
     k = np.arange(512.0)
     log_k_factorial = np.array([math.lgamma(i + 1.0) for i in range(512)])
-    cdf = np.ones((256, 256))
+    last = np.full((256, 256), U64_MAX, dtype=np.uint64)
     guide = np.zeros((256, 256), dtype=np.uint8)  # lam = 0 always gives 0
-    for first in range(1, 256, 16):
-        lam = np.arange(first, min(first + 16, 256), dtype=np.float64)[:, None]
+    for first in range(1, 256, 8):
+        lam = np.arange(first, min(first + 8, 256), dtype=np.float64)[:, None]
         log_lam = np.array([[math.log(i)] for i in range(first, first + len(lam))])
         pmf = np.exp(k * log_lam - lam - log_k_factorial)
         above = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]  # above[:, k] = P(X > k)
-        cdf[first:first + 16, :255] = 1.0 - above[:, :255] / pmf.sum(axis=1, keepdims=True)
-        cells = np.ceil(256.0 * cdf[first:first + 16]).astype(np.intp) + 257 * np.arange(len(lam))[:, None]
+        m = _top_cuts(1.0 - above[:, :255] / pmf.sum(axis=1, keepdims=True))
+        last[first:first + 8, :255] = (m.astype(np.uint64) << np.uint64(11)) - np.uint64(1)  # 2**53 and 0 wrap
+        cells = np.ceil(m * 2.0**-45).astype(np.intp) + 257 * np.arange(len(lam))[:, None]
         counts = np.bincount(cells.ravel(), minlength=257 * len(lam)).reshape(-1, 257)
-        guide[first:first + 16] = np.cumsum(counts, axis=1)[:, :256]
-    cdf, guide = cdf.ravel(), guide.ravel()
-    cdf.flags.writeable = guide.flags.writeable = False
-    return cdf, guide
+        guide[first:first + 8] = np.cumsum(counts, axis=1)[:, :256]
+    last, guide = last.ravel(), guide.ravel()
+    last.flags.writeable = guide.flags.writeable = False
+    return last, guide
 
 
-def _poisson_search(cdf: np.ndarray, guide: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per pixel, np.searchsorted(cdf[lam*256 : lam*256 + 256], u) as uint8, for u in (0, 1]."""
+def _poisson_search(last: np.ndarray, guide: np.ndarray, lam: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per pixel, the smallest k with h <= last[lam*256 + k], as uint8."""
     at = np.left_shift(lam, 8, dtype=np.intp)  # row lam of the tables; from here on the low byte of `at` is k
-    cell = (u * 256.0).astype(np.intp)
-    np.minimum(cell, 255, out=cell)  # u = 1.0 starts in the top cell
+    cell = np.right_shift(h, np.uint64(56)).view(np.intp)
     cell += at
-    at += guide[cell]
+    at += guide.take(cell)
     # the guide start settles ~90% of pixels and one step ~90% of the rest
-    pending = np.flatnonzero(cdf[at] < u)
+    pending = np.flatnonzero(h > last.take(at, out=cell.view(np.uint64)))  # reuses cell's buffer
     at[pending] += 1
-    pending = pending[cdf[at[pending]] < u[pending]]
-    # bisection: lo keeps cdf[lo] < u and climbs by halving steps, capped at
-    # row + 255, where cdf is 1.0; 128 + 64 + ... + 1 = 255 spans any gap
-    lo, top, v = at[pending], at[pending] | 255, u[pending]
+    pending = pending[h[pending] > last[at[pending]]]
+    # bisection: lo stays short and climbs by halving steps, capped at
+    # row + 255, which no hash is short of; 128 + 64 + ... + 1 = 255 spans any gap
+    lo, top, v = at[pending], at[pending] | 255, h[pending]
     for step in (128, 64, 32, 16, 8, 4, 2, 1):
         probe = np.minimum(lo + step, top)
-        lo = np.where(cdf[probe] < v, probe, lo)
+        lo = np.where(v > last[probe], probe, lo)
     at[pending] = lo + 1
     return at.astype(np.uint8)
 
 
 def _poisson(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    k = _poisson_search(*_poisson_tables(), plane.ravel(), site_uniforms(seed, plane.size))
+    k = _poisson_search(*_poisson_tables(), plane.ravel(), site_hashes(seed, plane.size))
     return k.reshape(plane.shape)
 
 

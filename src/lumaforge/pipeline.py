@@ -151,13 +151,10 @@ class PipelineConfig:
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
         # the name prefixes every artifact file name, so it must stay one
-        # plain file name component inside output_dir
-        if self.sample_name is not None and (
-            self.sample_name in ("", ".", "..") or any(c in self.sample_name for c in "/\\")
-        ):
-            raise ConfigurationError(
-                f"sample_name must be a plain file name without / or \\, got {self.sample_name!r}"
-            )
+        # plain file name component inside output_dir, and one line in table.txt
+        name = self.sample_name
+        if name is not None and (name in ("", ".", "..") or not name.isprintable() or "/" in name or "\\" in name):
+            raise ConfigurationError(f"sample_name must be a printable file name without / or \\, got {name!r}")
 
     def to_mapping(self) -> dict:
         """Canonical dict of every config field, defaults resolved."""

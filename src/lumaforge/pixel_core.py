@@ -71,7 +71,7 @@ class _Frame:
             raise ConfigurationError(f"{what} must not be empty")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ConfigurationError(f"{what} samples must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 255:
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):  # uint8 is in range by its type
             raise ConfigurationError(f"{what} samples must lie in [0, 255]")
         if arr.shape[2:] != self._channels:
             raise ConfigurationError(f"{what} expects {self._channels[0]} channels, got {arr.shape[2]}")

@@ -177,4 +177,7 @@ class MetricsReport:
         data = read_json(path, "metrics report", IngestionError)
         if isinstance(data, dict):
             data = {key: math.inf if key in _INF_FIELDS and value == "inf" else value for key, value in data.items()}
-        return build(cls, data, "metrics report", IngestionError)
+        try:
+            return build(cls, data, "metrics report", IngestionError)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: {exc}") from exc

@@ -338,6 +338,17 @@ class TestMetricsAndReport:
         assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error:")
         assert not (tmp_path / "tables").exists()
 
+    def test_a_bad_report_among_several_is_named(self, tmp_path, capsys):
+        good = {
+            "sample_name": "clip", "n_frames": 3, "frame_dims": [144, 176], "pipeline_config_digest": "d",
+            "gray_psnr_db": 20.0, "color_psnr_db": 25.0, "improvement_pct": None, "size_label": None,
+        }
+        (tmp_path / "a.json").write_text(json.dumps(good))
+        (tmp_path / "b.json").write_text(json.dumps({**good, "x": 1}))
+        argv = ["report", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ingestion error: {tmp_path / 'b.json'}: unknown metrics report fields: ['x']\n"
+
 
 def assert_one_pipeline_error(code, capsys, path):
     """Exit 3 with one stderr line, a pipeline error naming `path`."""
@@ -515,6 +526,18 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", ""])
     def test_sample_name_flag_is_not_a_path(self, tmp_path, sequence_dir, capsys, name):
         argv = self.run_args(sequence_dir, tmp_path, "--sample-name", name)
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("name", ["two\nlines", "cr\r", "tab\there", "bell\x07", "del\x7f", "c1\x85", "ls\u2028"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sample_name_with_a_control_character(self, tmp_path, sequence_dir, capsys, name, source):
+        # the name starts every artifact file name and one row of table.txt
+        if source == "flag":
+            argv = self.run_args(sequence_dir, tmp_path, "--sample-name", name)
+        else:
+            argv = self.run_config(sequence_dir, tmp_path, sample_name=name)
         before = sorted(tmp_path.rglob("*"))
         self.assert_config_error(argv, tmp_path, capsys)
         assert sorted(tmp_path.rglob("*")) == before

@@ -26,9 +26,10 @@ from lumaforge import (
     speckle,
 )
 from lumaforge import noise_models
-from lumaforge.rng import derive_seed, site_uniforms
+from lumaforge.rng import U64_MAX, derive_seed, site_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
+hashes = st.integers(0, U64_MAX)
 small_frames = npst.arrays(
     np.uint8, npst.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
 )
@@ -38,6 +39,66 @@ LEVELS = {"salt_pepper": 0.25, "gaussian": 0.01, "poisson": 0.0, "speckle": 0.05
 
 def mid_gray(rows=256, cols=256):
     return PixelBuffer(np.full((rows, cols), 128, dtype=np.uint8))
+
+
+def uniform_of(h) -> np.ndarray:
+    """The stream's uniform of each 64-bit hash: fl((h >> 11) + 0.5) * 2**-53, h >> 11 < 2**53 being exact."""
+    return ((np.asarray(h, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def reference_cuts(c) -> np.ndarray:
+    """Per threshold c, the smallest hash >> 11 whose uniform exceeds c (2**53: none), by 54 rounds of bisection."""
+    c = np.asarray(c, dtype=np.float64)
+    lo, hi = np.zeros(c.shape, dtype=np.int64), np.full(c.shape, 1 << 53, dtype=np.int64)
+    for _ in range(54):
+        mid = (lo + hi) // 2
+        above = (mid.astype(np.float64) + 0.5) * 2.0**-53 > c
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
+    return lo
+
+
+def edge_hashes(c) -> list[int]:
+    """The last hash whose uniform is at most each threshold c, and the first above it."""
+    cuts = [int(m) << 11 for m in np.ravel(reference_cuts(c)) if m < 1 << 53]
+    return sorted({h for cut in cuts for h in (cut - 1, cut) if h >= 0} | {0, U64_MAX})
+
+
+def on_hashes(kernel, plane: np.ndarray, d: float, h: list[int]) -> np.ndarray:
+    """kernel(plane, d, seed) with the plane's hashes replaced by h."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise_models, "site_hashes", lambda seed, n: np.array(h, dtype=np.uint64))
+        return kernel(plane, d, 0)
+
+
+def float_gaussian_cdf(d: float) -> np.ndarray:
+    """The gaussian offset cdf that the library's cutpoints stand for (see _gaussian_tables)."""
+    scale = 255.0 * math.sqrt(d) * math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc((254.5 - t) / scale) for t in range(511)] + [1.0])
+    return np.maximum.accumulate(cdf)
+
+
+def gaussian_reference(plane: np.ndarray, d: float, u: np.ndarray) -> np.ndarray:
+    """The float path: out = clip(x + searchsorted(cdf, u) - 255, 0, 255)."""
+    t = np.searchsorted(float_gaussian_cdf(d), u.reshape(plane.shape))
+    return np.clip(plane + t - 255, 0, 255).astype(np.uint8)
+
+
+def poisson_reference(plane: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The float path: per pixel, searchsorted of its uniform in its level's cdf row."""
+    cdf = oracle_poisson_tables()[0].reshape(256, 256)
+    k = [np.searchsorted(cdf[lam], v) for lam, v in zip(plane.ravel().tolist(), u.ravel().tolist())]
+    return np.array(k, dtype=np.uint8).reshape(plane.shape)
+
+
+class TestCutpoints:
+    @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53]), max_size=32))
+    def test_top_cuts_match_a_bisection(self, thresholds):
+        c = np.array(thresholds + [0.0, 5e-324, 2.0**-54, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0])
+        assert np.array_equal(noise_models._top_cuts(c), reference_cuts(c))
+
+    def test_uniform_of_one_is_the_top_block_of_hashes(self):
+        assert uniform_of([U64_MAX, U64_MAX - 2047]).tolist() == [1.0, 1.0]
+        assert uniform_of([U64_MAX - 2048])[0] < 1.0
 
 
 class TestNoiseSpec:
@@ -152,9 +213,27 @@ class TestSaltPepper:
     def test_zero_density_is_identity_at_a_uniform_of_one(self, monkeypatch):
         # a site whose hash has its top 53 bits set draws exactly 1.0, which
         # passes the salt test u >= 1 - d/2 even at d = 0
-        monkeypatch.setattr(noise_models, "site_uniforms", lambda seed, n: np.full(n, 1.0))
+        monkeypatch.setattr(noise_models, "site_hashes", lambda seed, n: np.full(n, U64_MAX, dtype=np.uint64))
         frame = mid_gray(4, 4)
+        assert np.all(noise_models._salt_pepper(frame.data, 0.0, 5) == 255)
         assert salt_pepper(frame, 0.0, 5) == frame
+
+    @given(seeds, st.floats(0.0, 1.0) | st.sampled_from([1.0, 5e-324, 2.0**-53, 2.0**-52]))
+    def test_integer_path_matches_the_float_tests(self, seed, d):
+        plane = np.full((9, 13), 128, dtype=np.uint8)
+        expected = plane.copy()
+        u = site_uniforms(seed, plane.size).reshape(plane.shape)
+        expected[u < d / 2] = 0
+        expected[u >= 1 - d / 2] = 255
+        assert np.array_equal(noise_models._salt_pepper(plane, d, seed), expected)
+
+    @given(st.floats(0.0, 1.0) | st.sampled_from([1.0, 5e-324, 2.0**-53, 2.0**-52, 0.5]))
+    def test_cut_edges_match_the_float_tests(self, d):
+        h = edge_hashes(np.nextafter([d / 2, 1 - d / 2], -1.0))
+        u = uniform_of(h)
+        expected = np.where(u < d / 2, 0, np.where(u >= 1 - d / 2, 255, 128))
+        out = on_hashes(noise_models._salt_pepper, np.full((1, len(h)), 128, dtype=np.uint8), d, h)
+        assert out.ravel().tolist() == expected.tolist()
 
     def test_full_density_is_all_extremes(self):
         out = salt_pepper(mid_gray(64, 64), 1.0, 3)
@@ -238,19 +317,47 @@ class TestGaussian:
         expected = [bisect.bisect_left(cdfs[x], u_i) for x, u_i in zip(levels.ravel().tolist(), u)]
         assert out.tolist() == expected
 
-    @given(
-        st.floats(1e-9, 1e3),
-        st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=64),
-    )
+    @settings(deadline=None)  # a new d builds its tables
+    @given(st.floats(1e-9, 1e3), st.lists(hashes, max_size=64))
     def test_guide_start_finds_the_plain_search(self, d, draws):
-        cdf, guide = noise_models._gaussian_tables(d)
-        u = np.array(draws + [1.0, 1.0 - 2.0**-53, 2.0**-41, 2.0**-53, 0.5, 4095 / 4096, 1 / 4096])
-        assert np.array_equal(noise_models._guided_search(cdf, guide, u), np.searchsorted(cdf, u))
+        cut, guide = noise_models._gaussian_tables(d)
+        # the old float edges, each cutpoint's edge, and the cells around each cutpoint
+        edges = [1.0, 1.0 - 2.0**-53, 2.0**-41, 2.0**-53, 0.5, 4095 / 4096, 1 / 4096]
+        cells = {int(c) >> 50 for c in cut}
+        h = draws + edge_hashes(np.nextafter(edges, -1.0)) + edge_hashes(float_gaussian_cdf(d))
+        h += [max(j << 50, 1) - 1 for j in cells] + [j << 50 for j in cells] + [((j + 1) << 50) - 1 for j in cells]
+        found = noise_models._guided_search(cut, guide, np.array(h, dtype=np.uint64))
+        assert np.array_equal(found, np.searchsorted(float_gaussian_cdf(d), uniform_of(h)))
+
+    @settings(deadline=None)  # a new d builds its tables
+    @given(seeds, st.floats(1e-9, 1e3) | st.sampled_from([1e-300, 1e-6, 0.01, 0.2]))
+    def test_integer_path_matches_the_float_reference(self, seed, d):
+        plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        expected = gaussian_reference(plane, d, site_uniforms(seed, plane.size))
+        assert np.array_equal(noise_models._gaussian(plane, d, seed), expected)
+
+    @pytest.mark.parametrize("d", [1e-300, 1e-6, 0.01, 0.2, 1e3])
+    def test_cutpoints_are_the_exact_thresholds(self, d):
+        cut, guide = noise_models._gaussian_tables(d)
+        cdf = float_gaussian_cdf(d)
+        assert cut.tolist() == [int(m) << 11 for m in reference_cuts(cdf[cdf < 1.0])]
+        assert guide.dtype == np.int16 and guide.size == 1 << 14
+        assert guide.min() >= -1 and guide.max() <= cut.size
 
     def test_tables_are_read_only(self):
-        cdf, guide = noise_models._gaussian_tables(0.01)
-        assert not cdf.flags.writeable and not guide.flags.writeable
-        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        cut, guide = noise_models._gaussian_tables(0.01)
+        assert not cut.flags.writeable and not guide.flags.writeable
+        assert cut.dtype == np.uint64 and np.all(cut[1:] >= cut[:-1])
+
+    def test_build_holds_no_temporary_beyond_the_guide(self):
+        noise_models._gaussian_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            noise_models._gaussian_tables(0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10  # the guide is 32 KB; one intp per guide cell would be 128 KB more
 
 
 def clamped_poisson_pmf(lam: int) -> list[float]:
@@ -316,6 +423,12 @@ class TestPoisson:
         statistic, df = chi_square(counts, clamped_poisson_pmf(lam))
         assert statistic > chi_square_critical(df)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, npst.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    def test_integer_path_matches_the_float_reference(self, seed, plane):
+        expected = poisson_reference(plane, site_uniforms(seed, plane.size))
+        assert np.array_equal(noise_models._poisson(plane, 0.0, seed), expected)
+
     def test_inverts_the_cdf_of_one_uniform_per_pixel(self):
         # reference: smallest k whose pure-python cdf reaches the pixel's uniform
         levels = np.arange(256, dtype=np.uint8).repeat(16).reshape(64, 64)
@@ -357,37 +470,46 @@ class TestPoisson:
 
 class TestPoissonSearch:
     def test_edges_match_the_plain_search_for_every_rate(self):
-        cdf, guide = noise_models._poisson_tables()
+        last, guide = noise_models._poisson_tables()
+        cdf = oracle_poisson_tables()[0]
         cuts = np.arange(1, 257) / 256.0
-        u = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0), [1.0 - 2.0**-53, 2.0**-53]])
-        u = np.unique(u[u <= 1.0])  # 1.0 is the last cutpoint; 1 - 2**-53 is its lower neighbour
+        # the old float edges: each cell's cutpoint j/256 and its neighbours, 1 - 2**-53 and 2**-53
+        edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0), [1.0 - 2.0**-53, 2.0**-53]])
+        common = edge_hashes(np.nextafter(edges[edges <= 1.0], -1.0))
+        common += [j << 56 for j in range(256)] + [(j << 56) - 1 for j in range(1, 256)]
         for lam in range(256):
-            found = noise_models._poisson_search(cdf, guide, np.full(u.size, lam, dtype=np.uint8), u)
-            assert np.array_equal(found, np.searchsorted(cdf[lam * 256 : lam * 256 + 256], u)), lam
+            row = cdf[lam * 256 : lam * 256 + 256]
+            h = np.array(sorted(set(common + edge_hashes(row))), dtype=np.uint64)
+            found = noise_models._poisson_search(last, guide, np.full(h.size, lam, dtype=np.uint8), h)
+            assert np.array_equal(found, np.searchsorted(row, uniform_of(h))), lam
 
-    @given(st.lists(
-        st.tuples(st.integers(0, 255), st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(255 / 256, 1.0))),
-        min_size=1, max_size=64,
-    ))
+    @given(st.lists(st.tuples(st.integers(0, 255), hashes | st.integers(255 << 56, U64_MAX)), min_size=1, max_size=64))
     def test_random_pairs_match_the_plain_search(self, pairs):
-        cdf, guide = noise_models._poisson_tables()
+        last, guide = noise_models._poisson_tables()
+        cdf = oracle_poisson_tables()[0]
         lam = np.array([rate for rate, _ in pairs], dtype=np.uint8)
-        u = np.array([draw for _, draw in pairs])
-        expected = [int(np.searchsorted(cdf[rate * 256 : rate * 256 + 256], draw)) for rate, draw in pairs]
-        assert noise_models._poisson_search(cdf, guide, lam, u).tolist() == expected
+        h = np.array([draw for _, draw in pairs], dtype=np.uint64)
+        expected = [int(np.searchsorted(cdf[rate * 256 : rate * 256 + 256], v)) for rate, v in zip(lam.tolist(), uniform_of(h))]
+        assert noise_models._poisson_search(last, guide, lam, h).tolist() == expected
 
 
 class TestPoissonTables:
     def test_equal_the_row_at_a_time_build(self):
-        cdf, guide = noise_models._poisson_tables()
-        oracle_cdf, oracle_guide = oracle_poisson_tables()
-        assert cdf.dtype == np.float64 and guide.dtype == np.uint8
-        assert np.array_equal(cdf.view(np.int64), oracle_cdf.view(np.int64))
-        assert np.array_equal(guide, oracle_guide)
-        assert not cdf.flags.writeable and not guide.flags.writeable
+        last, guide = noise_models._poisson_tables()
+        m = reference_cuts(oracle_poisson_tables()[0]).reshape(256, 256)
+        assert last.dtype == np.uint64 and guide.dtype == np.uint8
+        assert not last.flags.writeable and not guide.flags.writeable
+        last, guide = last.reshape(256, 256), guide.reshape(256, 256)
+        expected_guide = [np.searchsorted(row, np.arange(256) << 45, side="right") for row in m]
+        assert np.array_equal(guide, expected_guide)
+        # a column below every uniform has no last hash and lies left of its row's guide start
+        assert np.all((m == 0).sum(axis=1) <= guide[:, 0])
+        reachable = m > 0
+        expected_last = [(int(v) << 11) - 1 if v < 1 << 53 else U64_MAX for v in m[reachable]]
+        assert last[reachable].tolist() == expected_last
 
     def test_build_peak_stays_under_one_megabyte(self):
-        # cdf and guide are 576 KB themselves; a build over all rows at once
+        # last and guide are 576 KB themselves; a build over all rows at once
         # holds several 1 MB temporaries
         assert not tracemalloc.is_tracing()
         noise_models._poisson_tables.cache_clear()

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lumaforge.rng import U64_MAX, derive_seed, mix64, site_uniforms, site_uniforms_at
+from lumaforge.rng import U64_MAX, derive_seed, mix64, site_hashes, site_uniforms, site_uniforms_at
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -44,17 +44,33 @@ def test_uniform_moments():
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 
 
-def scalar_uniform(seed: int, site: int) -> float:
+def scalar_hash(seed: int, site: int) -> int:
     """The stream's definition, one site at a time in python ints."""
     base = mix64((seed + GOLDEN) & U64_MAX)
-    h = mix64((base + (site + 1) * GOLDEN) & U64_MAX)
-    return ((h >> 11) + 0.5) * 2.0**-53
+    return mix64((base + (site + 1) * GOLDEN) & U64_MAX)
+
+
+def scalar_uniform(seed: int, site: int) -> float:
+    return ((scalar_hash(seed, site) >> 11) + 0.5) * 2.0**-53
 
 
 @given(seeds, st.lists(st.integers(0, U64_MAX), min_size=1, max_size=40))
 def test_vectorized_stream_matches_the_scalar_formula(seed, sites):
     got = site_uniforms_at(seed, np.array(sites, dtype=np.uint64))
     assert got.tolist() == [scalar_uniform(seed, s) for s in sites]
+
+
+@given(seeds, st.integers(0, 300))
+def test_hashes_match_the_scalar_formula(seed, n):
+    h = site_hashes(seed, n)
+    assert h.dtype == np.uint64 and h.tolist() == [scalar_hash(seed, i) for i in range(n)]
+    assert site_uniforms(seed, n).tolist() == [((int(x) >> 11) + 0.5) * 2.0**-53 for x in h]
+
+
+def test_hashes_are_fresh():
+    first = site_hashes(8, 100)
+    first[:] = 0
+    assert site_hashes(8, 100).tolist() == [scalar_hash(8, i) for i in range(100)]
 
 
 def test_sites_argument_is_left_unchanged():
