@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .pixel_core import ColorBuffer, PixelBuffer, round_half_up
+from .pixel_core import ColorBuffer, PixelBuffer, _own, round_half_up
 
 N_LEVELS = 256
 
@@ -33,7 +33,8 @@ __all__ = [
 class Histogram:
     """Per-level pixel occupancy of one frame; mass is the normalized version."""
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_data",)
+    _adopt = classmethod(_own)
 
     def __init__(self, counts):
         arr = np.asarray(counts)
@@ -45,27 +46,27 @@ class Histogram:
             raise ConfigurationError("Histogram counts must be nonnegative")
         if arr.sum() == 0:
             raise ConfigurationError("Histogram must cover at least one sample")
-        self._counts = arr.astype(np.int64, copy=True)
-        self._counts.setflags(write=False)
+        self._data = arr.astype(np.int64, copy=True)
+        self._data.setflags(write=False)
 
     @property
     def counts(self) -> np.ndarray:
-        return self._counts
+        return self._data
 
     @property
     def area(self) -> int:
-        return int(self._counts.sum())
+        return int(self._data.sum())
 
     @property
     def mass(self) -> np.ndarray:
         """Occupancy normalized by sample count; sums to 1."""
-        return self._counts / self.area
+        return self._data / self.area
 
     def __eq__(self, other):
-        return isinstance(other, Histogram) and np.array_equal(self._counts, other._counts)
+        return isinstance(other, Histogram) and np.array_equal(self._data, other._data)
 
     def __repr__(self):
-        return f"Histogram(area={self.area}, occupied={int(np.count_nonzero(self._counts))})"
+        return f"Histogram(area={self.area}, occupied={int(np.count_nonzero(self._data))})"
 
 
 def histogram(frame: PixelBuffer | ColorBuffer) -> Histogram:
@@ -99,11 +100,11 @@ def enhance_with_diagnostics(frame: PixelBuffer | ColorBuffer, sigma: float = 0.
     pre, post = np.zeros((2, N_LEVELS), dtype=np.int64)
     for k in range(planes.shape[2]):
         counts = np.bincount(planes[..., k].ravel(), minlength=N_LEVELS)
-        table = level_map(Histogram(counts), sigma)
-        out[..., k] = table[planes[..., k]]
+        table = level_map(Histogram._adopt(counts), sigma)
+        out[..., k] = table.take(planes[..., k])
         pre += counts
         np.add.at(post, table, counts)
-    return type(frame)(out.reshape(data.shape)), Histogram(pre), Histogram(post)
+    return type(frame)._adopt(out.reshape(data.shape)), Histogram._adopt(pre), Histogram._adopt(post)
 
 
 def enhance(frame: PixelBuffer | ColorBuffer, sigma: float = 0.0) -> PixelBuffer | ColorBuffer:

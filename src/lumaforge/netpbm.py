@@ -81,11 +81,11 @@ def _parse_header(data: bytes, name: str, size: int) -> tuple[int, Dimensions, i
 
 def decode_image(data: bytes, name: str = "<bytes>"):
     """Parse binary PGM/PPM bytes into a PixelBuffer or ColorBuffer."""
+    data = bytes(data)  # the same object for bytes; a copy of a mutable buffer
     channels, dims, offset = _parse_header(data, name, len(data))
-    samples = np.frombuffer(data, dtype=np.uint8, offset=offset)
-    if channels == 1:
-        return PixelBuffer(samples.reshape(dims.rows, dims.cols))
-    return ColorBuffer(samples.reshape(dims.rows, dims.cols, 3))
+    kind, shape = (PixelBuffer, ()) if channels == 1 else (ColorBuffer, (3,))
+    samples = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape((dims.rows, dims.cols) + shape)
+    return kind._adopt(samples)
 
 
 def read_dims(path) -> Dimensions:

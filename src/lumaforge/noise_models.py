@@ -78,11 +78,11 @@ def apply_noise(frame: PixelBuffer | ColorBuffer, spec: NoiseSpec) -> PixelBuffe
     kernel = _KERNELS[spec.kind]
     data = frame.data
     if data.ndim == 2:
-        return type(frame)(kernel(data, spec.d, spec.seed))
+        return type(frame)._adopt(kernel(data, spec.d, spec.seed))
     out = np.empty_like(data)
     for c in range(data.shape[2]):
         out[..., c] = kernel(data[..., c], spec.d, derive_seed(spec.seed, c + 1))
-    return type(frame)(out)
+    return type(frame)._adopt(out)
 
 
 def salt_pepper(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffer | ColorBuffer:

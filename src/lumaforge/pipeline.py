@@ -85,6 +85,11 @@ __all__ = [
 ]
 
 
+def _plain_name(name: str) -> bool:
+    """Whether name can prefix artifact file names: one plain file name in output_dir, one line in table.txt."""
+    return name not in ("", ".", "..") and name.isprintable() and "/" not in name and "\\" not in name
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Smoothing stage selector: which filter and what window."""
@@ -150,10 +155,8 @@ class PipelineConfig:
             )
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
-        # the name prefixes every artifact file name, so it must stay one
-        # plain file name component inside output_dir, and one line in table.txt
         name = self.sample_name
-        if name is not None and (name in ("", ".", "..") or not name.isprintable() or "/" in name or "\\" in name):
+        if name is not None and not _plain_name(name):
             raise ConfigurationError(f"sample_name must be a printable file name without / or \\, got {name!r}")
 
     def to_mapping(self) -> dict:
@@ -205,7 +208,7 @@ class FrameSequence:
         if image.dims != self.dims:
             raise IngestionError(f"{self.paths[index].name}: frame dims changed since ingestion")
         if isinstance(image, PixelBuffer):
-            image = ColorBuffer(image.data[..., None].repeat(3, axis=2))
+            image = ColorBuffer._adopt(image.data[..., None].repeat(3, axis=2))
         return image
 
 
@@ -337,12 +340,14 @@ def _run_frames(
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     sequence = ingest_frames(cfg.input_dir)
+    name = cfg.sample_name or sequence.name
+    if not _plain_name(name):  # a given sample_name passed this check in PipelineConfig
+        raise IngestionError(f"frame file stem {name!r} cannot prefix artifact names; give a sample_name")
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
-    name = cfg.sample_name or sequence.name
     pad = max(3, len(str(len(sequence.paths) - 1)))
     mode = sequence.native_kind if native else cfg.mode
     kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]

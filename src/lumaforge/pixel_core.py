@@ -2,9 +2,9 @@
 
 Intensity samples are 8-bit integers stored row-major. PixelBuffer (gray)
 and ColorBuffer (RGB) share one body and differ only by their trailing
-channel shape. Buffers freeze their backing arrays at construction, so values
-are immutable and every operation below is a pure function returning a new
-buffer; all of it is safe to call from any number of concurrent workers.
+channel shape. Constructors copy the caller's array; library results own a
+fresh one. So no buffer aliases a caller's array, every buffer is read-only, and
+every operation below is a pure function, safe from any number of workers.
 """
 
 from __future__ import annotations
@@ -55,11 +55,20 @@ class Dimensions:
         return self.rows * self.cols
 
 
+def _own(cls, data: np.ndarray):
+    """A cls over fresh, well-formed data that no caller holds, in its `_data` slot: frozen, unchecked, not copied."""
+    value = cls.__new__(cls)
+    value._data = data
+    data.setflags(write=False)
+    return value
+
+
 class _Frame:
     """Shared body of both buffer kinds: a read-only uint8 (rows, cols) + _channels grid."""
 
     __slots__ = ("_data",)
     _channels: tuple[int, ...] = ()
+    _adopt = classmethod(_own)
 
     def __init__(self, data):
         what = type(self).__name__
@@ -148,7 +157,7 @@ def rgb_to_luma(frame: ColorBuffer, weights: LumaWeights = BT601_WEIGHTS) -> Pix
     y += term
     y += np.multiply(rgb[..., 2], weights.blue, dtype=np.float64, out=term)
     np.floor(np.add(y, 0.5, out=y), out=y)  # round_half_up in place
-    return PixelBuffer(np.clip(y, 0, 255, out=y).astype(np.uint8))
+    return PixelBuffer._adopt(np.clip(y, 0, 255, out=y).astype(np.uint8))
 
 
 def resize_nearest(frame, target: Dimensions):
@@ -162,7 +171,6 @@ def resize_nearest(frame, target: Dimensions):
     if frame.dims == target:
         return frame
     src = frame.data
-    rows_src, cols_src = src.shape[0], src.shape[1]
-    row_idx = (np.arange(target.rows) * rows_src) // target.rows
-    col_idx = (np.arange(target.cols) * cols_src) // target.cols
-    return type(frame)(src[row_idx[:, None], col_idx[None, :]])
+    rows = (np.arange(target.rows) * src.shape[0]) // target.rows
+    cols = (np.arange(target.cols) * src.shape[1]) // target.cols
+    return type(frame)._adopt(src.take(rows, axis=0).take(cols, axis=1))

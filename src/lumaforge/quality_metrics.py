@@ -23,6 +23,7 @@ from .luma_equalize import N_LEVELS, Histogram
 from .pixel_core import ColorBuffer, Dimensions, PixelBuffer
 
 PEAK_VALUE = 255
+_LEVEL_TEXT = [str(level) for level in range(N_LEVELS)]  # the `level` column of histogram_csv
 
 __all__ = [
     "PEAK_VALUE",
@@ -103,7 +104,7 @@ def _cell(count: int, area: int) -> str:
 def histogram_csv(hist) -> bytes:
     """One `level,count,probability` row per intensity level of a Histogram, as ASCII bytes."""
     area = hist.area
-    rows = "".join([str(level) + _cell(count, area) for level, count in enumerate(hist.counts.tolist())])
+    rows = "".join([level + _cell(count, area) for level, count in zip(_LEVEL_TEXT, hist.counts.tolist())])
     return b"level,count,probability\n" + rows.encode("ascii")
 
 

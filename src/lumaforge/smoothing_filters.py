@@ -141,7 +141,7 @@ def median_filter(
     """Replace each sample with the median of its window; 1x1 is the identity."""
     offsets = itertools.product(range(window.rows), range(window.cols))
     views = _shifted_views(frame.data, window.rows, window.cols, offsets)
-    return type(frame)(_select(views, (len(views) - 1) // 2))
+    return type(frame)._adopt(_select(views, (len(views) - 1) // 2))
 
 
 def hybrid_median_filter(
@@ -162,6 +162,6 @@ def hybrid_median_filter(
     views = _shifted_views(frame.data, k, k, plus + cross)
     m_plus = _select(views[:len(plus)], k - 1)
     m_x = _select(views[len(plus):], k - 1)
-    return type(frame)(
+    return type(frame)._adopt(
         np.maximum(np.minimum(m_plus, m_x), np.minimum(np.maximum(m_plus, m_x), frame.data))
     )

@@ -358,6 +358,9 @@ def assert_one_pipeline_error(code, capsys, path):
     assert err_lines[0].startswith("pipeline error: ") and str(path) in err_lines[0]
 
 
+_ODD_STEMS = ["clip\tx", "bell\x07", "ls\u2028", "back\\slash", "."]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, sequence_dir, tmp_path, capsys):
         code = main([
@@ -385,6 +388,33 @@ class TestExitCodes:
             "--output-dir", str(tmp_path / "out"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("stem", _ODD_STEMS)
+    @pytest.mark.parametrize("command", ["run", "enhance"])
+    def test_a_stem_that_is_no_plain_file_name_is_2(self, tmp_path, capsys, stem, command):
+        # the stem is the default sample_name, so it meets the rule a given sample_name meets
+        frames = tmp_path / "frames"
+        write_gray_sequence(frames, stem, [block_texture(0, rows=4, cols=4)])
+        code = main([command, "--input-dir", str(frames), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error: ") and repr(stem) in err_lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stem", _ODD_STEMS)
+    @pytest.mark.parametrize("command", ["run", "enhance", "metrics"])
+    def test_a_stem_that_names_nothing_is_accepted(self, tmp_path, capsys, stem, command):
+        # with a given sample_name, or as a metrics sequence, the stem names no file or table row
+        frames, out = tmp_path / "frames", tmp_path / "out"
+        write_gray_sequence(frames, stem, [block_texture(0, rows=4, cols=4)])
+        argv = [command, "--input-dir", str(frames), "--output-dir", str(out)]
+        if command == "metrics":
+            assert main(argv + ["--reference-dir", str(frames)]) == 0
+            assert json.loads(capsys.readouterr().out)["sample_name"] == stem
+        else:
+            assert main(argv + ["--sample-name", "clip"]) == 0
+            names = [path.name for path in out.iterdir() if path.suffix != ".json"]
+            assert names and all(name.startswith("clip_") for name in names)
 
     def test_pipeline_error_is_3(self, tmp_path, sequence_dir, monkeypatch, capsys):
         def explode(cfg, jobs=1):

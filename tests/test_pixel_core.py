@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 from conftest import from_planes, planes
@@ -171,13 +171,18 @@ class TestResizeNearest:
         out = resize_nearest(PixelBuffer(arr), Dimensions(rows, cols))
         assert out.dims == Dimensions(rows, cols)
 
-    @given(gray_arrays, st.integers(1, 8), st.integers(1, 8))
+    @given(st.one_of(gray_arrays, color_arrays), st.integers(1, 24), st.integers(1, 24))
+    @example(np.arange(35, dtype=np.uint8).reshape(5, 7), 3, 11)  # 5 -> 3 rows, 7 -> 11 cols
+    @example(np.arange(105, dtype=np.uint8).reshape(7, 5, 3), 17, 2)  # 7 -> 17 rows, 5 -> 2 cols
+    @example(np.arange(96, dtype=np.uint8).reshape(4, 8, 3), 13, 23)  # upscale both axes, no whole ratio
     def test_matches_floor_index_map(self, arr, rows, cols):
-        out = resize_nearest(PixelBuffer(arr), Dimensions(rows, cols))
+        kind = PixelBuffer if arr.ndim == 2 else ColorBuffer
+        out = resize_nearest(kind(arr), Dimensions(rows, cols))
+        assert isinstance(out, kind) and out.data.shape == (rows, cols) + arr.shape[2:]
         for r in range(rows):
             for c in range(cols):
                 src = arr[r * arr.shape[0] // rows, c * arr.shape[1] // cols]
-                assert out.data[r, c] == src
+                assert np.array_equal(out.data[r, c], src)
 
     def test_color_resize_keeps_channels(self):
         arr = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
