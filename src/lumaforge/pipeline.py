@@ -1,16 +1,17 @@
 """Batch orchestration over directories of numbered netpbm frames.
 
 A run checks the headers of a frame sequence, then a pool of workers decodes
-and processes one frame at a time while one thread writes the finished bytes,
-with at most 2 frames waiting; memory grows with the worker count, not with
-the sequence length. Each frame is optionally resized, then takes the
-grayscale path (its luminance plane), the color path (the RGB frame itself),
-or both. Each path runs the same steps: optional noise injection, optional
-median/hybrid-median smoothing, brightness equalization, and pooled PSNR of
-the result against the clean pre-noise reference. Artifacts per run: one
-enhanced frame per input frame and path, pre/post-enhancement histogram CSVs,
-and a single metrics report JSON. A single-stage run (run_stage) is the same
-frame loop with the other steps switched off and no PSNR or report.
+and processes one frame at a time while the calling thread writes each
+frame's finished bytes in index order, with at most `jobs` + 2 frames in
+flight; memory grows with the worker count, not with the sequence length.
+Each frame is optionally resized, then takes the grayscale path (its
+luminance plane), the color path (the RGB frame itself), or both. Each path
+runs the same steps: optional noise injection, optional median/hybrid-median
+smoothing, brightness equalization, and pooled PSNR of the result against the
+clean pre-noise reference. Artifacts per run: one enhanced frame per input
+frame and path, pre/post-enhancement histogram CSVs, and a single metrics
+report JSON. A single-stage run (run_stage) is the same frame loop with the
+other steps switched off and no PSNR or report.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -24,7 +25,7 @@ import json
 import math
 import os
 import re
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -67,8 +68,9 @@ DEFAULT_RESIZE = Dimensions(rows=144, cols=176)
 # 8-bit plane
 MAX_SAMPLES = 2**26
 
-# <stem>_<zero-padded index>.<pgm|ppm>; ordering is by parsed index
-_FRAME_FILE_RE = re.compile(r"^(?P<stem>.+)_(?P<index>\d+)\.(?P<ext>pgm|ppm)$")
+# <stem>_<zero-padded index>.<pgm|ppm>, matched whole; ordering is by parsed index. DOTALL lets a
+# stem holding a line feed match, so that it is rejected rather than skipped
+_FRAME_FILE_RE = re.compile(r"(?P<stem>.+)_(?P<index>\d+)\.(?P<ext>pgm|ppm)", re.DOTALL)
 
 __all__ = [
     "FILTER_KINDS",
@@ -223,7 +225,7 @@ def ingest_frames(directory) -> FrameSequence:
         raise IngestionError(f"input directory not found: {directory}")
     entries = []
     for path in sorted(directory.iterdir()):
-        m = _FRAME_FILE_RE.match(path.name)
+        m = _FRAME_FILE_RE.fullmatch(path.name)
         if m:
             entries.append((int(m.group("index")), m.group("stem"), m.group("ext"), path))
     if not entries:
@@ -252,58 +254,39 @@ def ingest_frames(directory) -> FrameSequence:
     return FrameSequence(name=stems.pop(), paths=paths, dims=dims, native_kind=native_kind)
 
 
-_WAITING_FRAMES = 2  # frames whose artifacts may be queued for, or in, the writer thread
+_WAITING_FRAMES = 2  # frames in flight beyond one per worker: computed, waiting, or being written
 
 
-class _ArtifactSink:
-    """The frame loop's only disk access: one thread writes each frame's (path, bytes) artifacts.
+def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) -> None:
+    """Write the (path, bytes) artifacts of `what` ("frame N"), or raise PipelineStageError.
 
-    A path is recorded once this run has opened it, so a failed run removes only its own files.
+    A path joins `written` once this run has opened it, so a failed run removes only its own files.
     """
-
-    def __init__(self):
-        self._writer = ThreadPoolExecutor(max_workers=1)
-        self._slots = threading.Semaphore(_WAITING_FRAMES)
-        self._written: list[Path] = []
-        self._error: PipelineStageError | None = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, *_):
-        self.close(failed=kind is not None)
-
-    def put(self, what: str, artifacts: list[tuple[Path, bytes]]) -> None:
-        """Queue `what` ("frame N"), blocking while _WAITING_FRAMES wait; raises the first failed write."""
-        if self._error is not None:
-            raise self._error
-        self._slots.acquire()
-        self._writer.submit(self._write, what, artifacts).add_done_callback(lambda _: self._slots.release())
-
-    def _write(self, what: str, artifacts: list[tuple[Path, bytes]]) -> None:
-        for path, data in artifacts if self._error is None else ():
+    for path, data in artifacts:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            written.append(path)
             try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-                self._written.append(path)
-                try:
-                    view = memoryview(data)
-                    while view:  # a short write leaves the rest to the next
-                        view = view[os.write(fd, view):]
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                self._error = PipelineStageError(f"{what}: {exc}")
-                return
+                view = memoryview(data)
+                while view:  # a short write leaves the rest to the next
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise PipelineStageError(f"{what}: {exc}") from exc
 
-    def close(self, failed: bool) -> None:
-        """Wait for the writer; after a failed run or write, drop queued writes and remove every file written."""
-        self._writer.shutdown(wait=True, cancel_futures=failed or self._error is not None)
-        if failed or self._error is not None:
-            for path in self._written:
-                with contextlib.suppress(OSError):
-                    path.unlink()
-            if not failed:
-                raise self._error
+
+@contextlib.contextmanager
+def _removed_on_failure():
+    """Yields the list of paths a run writes; any exception, KeyboardInterrupt included, removes them."""
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
@@ -323,15 +306,18 @@ def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
 def _run_frames(
     cfg: PipelineConfig,
     jobs: int,
-    sink: _ArtifactSink,
+    written: list[Path],
     *,
     native: bool = False,
     enhance: bool = True,
     score: bool = False,
     infix: str = "enhanced",
 ):
-    """The one frame loop: ingest, then `jobs` workers decode and process each frame for `sink`.
+    """The one frame loop: ingest, then `jobs` workers compute frames and the calling thread writes them.
 
+    Workers decode and process a frame and return its artifacts, with no I/O;
+    the calling thread writes them in index order, each path into `written`,
+    with at most jobs + _WAITING_FRAMES frames in flight (submitted, unwritten).
     Frames take the paths of cfg.mode, or of the sequence's native kind when
     `native` is set. Returns the sequence and, per frame in index order, one
     (kind, frame path, squared error vs the PSNR reference, or 0 unless
@@ -370,14 +356,20 @@ def _run_frames(
                 outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
         except Exception as exc:
             raise PipelineStageError(f"frame {index}: {exc}") from exc
-        sink.put(f"frame {index}", artifacts)
-        return outputs
+        return outputs, artifacts
 
-    indices = range(len(sequence.paths))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return sequence, list(pool.map(work, indices))
-    return sequence, [work(index) for index in indices]
+    count, pending, frames = len(sequence.paths), deque(), []
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        while len(frames) < count:
+            while len(pending) < jobs + _WAITING_FRAMES and len(frames) + len(pending) < count:
+                pending.append(pool.submit(work, len(frames) + len(pending)))
+            outputs, artifacts = pending.popleft().result()
+            _write(f"frame {len(frames)}", artifacts, written)
+            frames.append(outputs)
+    finally:  # after a failure, frames not yet started never start
+        pool.shutdown(cancel_futures=True)
+    return sequence, frames
 
 
 def _improvement(gray_db: float | None, color_db: float | None) -> float | None:
@@ -397,8 +389,8 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     output byte) is identical for any worker count. Any failed stage or write,
     report.json last, removes this run's files and raises PipelineStageError.
     """
-    with _ArtifactSink() as sink:
-        sequence, frames = _run_frames(cfg, jobs, sink, score=True)
+    with _removed_on_failure() as written:
+        sequence, frames = _run_frames(cfg, jobs, written, score=True)
         dims = cfg.resize_to if cfg.resize_to is not None else sequence.dims
 
         def pooled_psnr(kind: str) -> float | None:
@@ -417,7 +409,7 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
             improvement_pct=_improvement(gray_psnr, color_psnr),
             size_label=cfg.size_label,
         )
-        sink.put("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())])
+        _write("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())], written)
     return report
 
 
@@ -446,9 +438,9 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
         noise=cfg.noise if stage == "noise" else None,
         filter=cfg.filter if stage == "filter" else None,
     )
-    with _ArtifactSink() as sink:
+    with _removed_on_failure() as written:
         _, frames = _run_frames(
-            steps, jobs, sink, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
+            steps, jobs, written, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
         )
     return [path for outputs in frames for _, path, _ in outputs]
 

@@ -18,7 +18,7 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-__all__ = ["U64_MAX", "mix64", "derive_seed", "site_hashes", "site_uniforms", "site_uniforms_at"]
+__all__ = ["U64_MAX", "mix64", "derive_seed", "site_hashes", "site_uniforms"]
 
 
 def mix64(value: int) -> int:
@@ -77,13 +77,6 @@ def site_hashes(seed: int, n_sites: int) -> np.ndarray:
     offsets = np.arange(1, n_sites + 1, dtype=np.uint64)
     offsets *= np.uint64(_GOLDEN)
     return _mix(offsets, seed)
-
-
-def site_uniforms_at(seed: int, sites: np.ndarray) -> np.ndarray:
-    """Uniform doubles in (0, 1] for the given site indices, which are left unchanged."""
-    z = np.add(np.asarray(sites, dtype=np.uint64), np.uint64(1))
-    z *= np.uint64(_GOLDEN)
-    return _uniforms(_mix(z, seed))
 
 
 def site_uniforms(seed: int, n_sites: int) -> np.ndarray:

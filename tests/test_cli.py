@@ -7,6 +7,7 @@ import pytest
 from conftest import block_texture
 
 import lumaforge.cli as cli_module
+import lumaforge.pipeline as pipeline_module
 from lumaforge import (
     FilterSpec,
     FilterWindow,
@@ -39,6 +40,20 @@ def sequence_dir(tmp_path):
     frames = [block_texture(i, rows=12, cols=16) for i in range(3)]
     write_gray_sequence(tmp_path / "frames", "clip", frames)
     return tmp_path / "frames"
+
+
+@pytest.mark.parametrize("command", ["run", "enhance"])
+def test_a_run_ingests_once_through_the_pipeline_module(tmp_path, sequence_dir, monkeypatch, command):
+    # perfbench/child.py wraps pipeline.ingest_frames to mark where set-up ends
+    real, calls = pipeline_module.ingest_frames, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "ingest_frames", counted)
+    assert main([command, "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 class TestRunCommand:
@@ -358,7 +373,7 @@ def assert_one_pipeline_error(code, capsys, path):
     assert err_lines[0].startswith("pipeline error: ") and str(path) in err_lines[0]
 
 
-_ODD_STEMS = ["clip\tx", "bell\x07", "ls\u2028", "back\\slash", "."]
+_ODD_STEMS = ["clip\tx", "bell\x07", "ls\u2028", "two\nlines", "back\\slash", "."]
 
 
 class TestExitCodes:
@@ -399,6 +414,16 @@ class TestExitCodes:
         assert code == 2
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error: ") and repr(stem) in err_lines[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_stem_holding_a_line_feed_counts_as_a_second_stem(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_gray_sequence(frames, "clip", [block_texture(0, rows=4, cols=4)])
+        write_image(block_texture(1, rows=4, cols=4), frames / "two\nlines_001.pgm")
+        code = main(["enhance", "--input-dir", str(frames), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [f"ingestion error: ambiguous sequence in {frames}: multiple stems ['clip', 'two\\nlines']"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stem", _ODD_STEMS)

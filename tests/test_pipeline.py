@@ -390,7 +390,7 @@ class TestRunPipeline:
         assert tree_digest(tmp_path / "out") == first
 
     def test_more_workers_than_cores_share_one_sink(self, tmp_path):
-        # short thread switches interleave the workers' puts with the writer
+        # short thread switches interleave the workers with the calling thread, which writes every frame
         write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=8, cols=8) for i in range(40)])
         run_pipeline(small_config(tmp_path, output_dir=tmp_path / "one"), jobs=1)
         blocker = tmp_path / "bad" / "clip_enhanced_039.pgm"
@@ -490,25 +490,68 @@ class TestRunPipeline:
     def test_a_failed_run_leaves_no_late_write_and_no_thread(self, tmp_path, monkeypatch, jobs):
         frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(6)]
         write_gray_sequence(tmp_path / "in", "clip", frames)
-        real_enhance, real_write = pipeline_module.enhance_with_diagnostics, pipeline_module._ArtifactSink._write
+        real_enhance, real_write = pipeline_module.enhance_with_diagnostics, pipeline_module._write
 
         def explode_on_last(frame, sigma=0.0):
             if frame.data[0, 0] == 50:
                 raise RuntimeError("boom")
             return real_enhance(frame, sigma)
 
-        def slow_write(sink, index, artifacts):
+        def slow_write(what, artifacts, written):
             time.sleep(0.05)
-            real_write(sink, index, artifacts)
+            real_write(what, artifacts, written)
 
         monkeypatch.setattr(pipeline_module, "enhance_with_diagnostics", explode_on_last)
-        monkeypatch.setattr(pipeline_module._ArtifactSink, "_write", slow_write)
+        monkeypatch.setattr(pipeline_module, "_write", slow_write)
         before = set(threading.enumerate())
         with pytest.raises(PipelineStageError, match="frame 5"):
             run_pipeline(small_config(tmp_path), jobs=jobs)
         assert [t for t in threading.enumerate() if t not in before] == []
         time.sleep(0.2)  # a write still queued or running would land by now
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("entry", ["run", "stage"])
+    def test_an_interrupt_in_a_stage_removes_the_run_and_leaves_no_thread(self, tmp_path, monkeypatch, jobs, entry):
+        frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(6)]
+        write_gray_sequence(tmp_path / "in", "clip", frames)
+        real = pipeline_module.enhance_with_diagnostics
+
+        def interrupt_on_frame_3(frame, sigma=0.0):
+            if frame.data[0, 0] == 30:
+                raise KeyboardInterrupt
+            return real(frame, sigma)
+
+        monkeypatch.setattr(pipeline_module, "enhance_with_diagnostics", interrupt_on_frame_3)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            if entry == "run":
+                run_pipeline(small_config(tmp_path), jobs=jobs)
+            else:
+                run_stage(small_config(tmp_path), "enhance", jobs=jobs)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_workers_start_at_most_the_window_beyond_the_last_write(self, tmp_path, monkeypatch, jobs):
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=8, cols=8) for i in range(12)])
+        real_load, real_write = pipeline_module.FrameSequence.load, pipeline_module._write
+        writes, leads = [], []
+
+        def load(sequence, index):
+            leads.append(index - (len(writes) - 1))  # how far past the last frame written this one is
+            return real_load(sequence, index)
+
+        def slow_write(what, artifacts, written):
+            time.sleep(0.01)  # the workers run ahead as far as the loop lets them
+            real_write(what, artifacts, written)
+            writes.append(what)
+
+        monkeypatch.setattr(pipeline_module.FrameSequence, "load", load)
+        monkeypatch.setattr(pipeline_module, "_write", slow_write)
+        run_pipeline(small_config(tmp_path), jobs=jobs)
+        assert writes == [f"frame {index}" for index in range(12)] + ["report"]
+        assert max(leads) == jobs + pipeline_module._WAITING_FRAMES, leads
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_good_run_leaves_no_thread(self, tmp_path, jobs):
@@ -600,7 +643,8 @@ class TestStreaming:
         with pytest.raises(IngestionError, match="clip_000.pgm"):
             seq.load(0)
 
-    def test_peak_memory_does_not_grow_with_sequence_length(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_peak_memory_does_not_grow_with_sequence_length(self, tmp_path, jobs):
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc/self/status to read the child's peak memory")
         # The child reads its own high-water mark (VmHWM): the ru_maxrss a
@@ -624,7 +668,7 @@ class TestStreaming:
             for i in range(n_frames):
                 write_image(ColorBuffer(rng.integers(0, 256, (48, 64, 3))), in_dir / f"clip_{i:04d}.ppm")
             argv = ["luma", "--input-dir", str(in_dir), "--output-dir", str(tmp_path / f"out{n_frames}"),
-                    "--resize", "none"]
+                    "--resize", "none", "--jobs", str(jobs)]
             done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
                                   text=True, timeout=300, check=True)
             peaks_kib.append(int(done.stdout.strip().splitlines()[-1]))

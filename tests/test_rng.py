@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lumaforge.rng import U64_MAX, derive_seed, mix64, site_hashes, site_uniforms, site_uniforms_at
+from lumaforge.rng import U64_MAX, derive_seed, mix64, site_hashes, site_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -20,15 +20,6 @@ def test_uniforms_deterministic(seed):
 
 def test_distinct_seeds_give_distinct_streams():
     assert not np.array_equal(site_uniforms(1, 256), site_uniforms(2, 256))
-
-
-@given(seeds)
-def test_subset_indexing_matches_full_stream(seed):
-    # a site's value never depends on which other sites are evaluated
-    # alongside it, so any subset or chunking of a frame sees the same stream
-    full = site_uniforms(seed, 40)
-    picked = site_uniforms_at(seed, np.array([3, 17, 39]))
-    assert np.array_equal(picked, full[[3, 17, 39]])
 
 
 def test_prefix_stability():
@@ -54,10 +45,9 @@ def scalar_uniform(seed: int, site: int) -> float:
     return ((scalar_hash(seed, site) >> 11) + 0.5) * 2.0**-53
 
 
-@given(seeds, st.lists(st.integers(0, U64_MAX), min_size=1, max_size=40))
-def test_vectorized_stream_matches_the_scalar_formula(seed, sites):
-    got = site_uniforms_at(seed, np.array(sites, dtype=np.uint64))
-    assert got.tolist() == [scalar_uniform(seed, s) for s in sites]
+@given(seeds, st.integers(1, 300))
+def test_vectorized_stream_matches_the_scalar_formula(seed, n):
+    assert site_uniforms(seed, n).tolist() == [scalar_uniform(seed, s) for s in range(n)]
 
 
 @given(seeds, st.integers(0, 300))
@@ -71,14 +61,6 @@ def test_hashes_are_fresh():
     first = site_hashes(8, 100)
     first[:] = 0
     assert site_hashes(8, 100).tolist() == [scalar_hash(8, i) for i in range(100)]
-
-
-def test_sites_argument_is_left_unchanged():
-    sites = np.array([[0, 5], [U64_MAX - 1, 17]], dtype=np.uint64)
-    before = sites.copy()
-    u = site_uniforms_at(4, sites)
-    assert np.array_equal(sites, before)
-    assert u.shape == sites.shape and not np.shares_memory(u, sites)
 
 
 @given(seeds)
