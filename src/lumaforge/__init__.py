@@ -51,7 +51,6 @@ from .quality_metrics import (
     MetricsReport,
     PsnrResult,
     improvement_pct,
-    load_histogram,
     psnr,
 )
 from .smoothing_filters import FilterWindow, hybrid_median_filter, median_filter

@@ -2,9 +2,9 @@
 
 Subcommands: luma, noise, filter, enhance (single stages), run (full
 pipeline), metrics (pooled PSNR of one directory against a reference), and
-report (merge metrics JSONs into a table). Every subcommand accepts --config
-plus direct flag overrides of individual config fields; flag > config file >
-LUMAFORGE_SEED (for the seed) > built-in default.
+report (merge metrics JSONs into a table). Every subcommand but report
+accepts --config plus direct flag overrides of individual config fields;
+flag > config file > LUMAFORGE_SEED (for the seed) > built-in default.
 
 Exit codes: 0 success, 1 usage/config error, 2 ingestion error, 3 pipeline
 stage error.
@@ -13,7 +13,6 @@ stage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -27,6 +26,9 @@ from .pipeline import (
     MODES,
     PSNR_REFERENCES,
     PipelineConfig,
+    _make_dir,
+    _removed_on_failure,
+    _write,
     ingest_frames,
     report_table,
     run_pipeline,
@@ -123,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(handler=_cmd_metrics)
 
     report = subparsers.add_parser("report", help="merge metrics reports into a CSV + aligned table")
-    _add_common(report)
     report.add_argument("reports", nargs="+", help="metrics report JSON files")
     report.add_argument("--output-dir", dest="table_dir", default=None,
                         help="write table.csv and table.txt here")
@@ -168,15 +169,6 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
     return PipelineConfig.from_mapping(mapping)
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """An OSError raised while writing to `path` is a pipeline error (exit 3) that names it."""
-    try:
-        yield
-    except OSError as exc:
-        raise PipelineStageError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}") from exc
-
-
 def _jobs(args: argparse.Namespace) -> int:
     return getattr(args, "jobs", 1)
 
@@ -214,8 +206,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.output:
-        with _writing(args.output):
-            report.save(args.output)
+        with _removed_on_failure() as written:
+            _write("report", [(Path(args.output), report.to_json_bytes())], written)
     return 0
 
 
@@ -225,11 +217,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(aligned, end="")
     if args.table_dir:
         table_dir = Path(args.table_dir)
-        with _writing(table_dir):
-            table_dir.mkdir(parents=True, exist_ok=True)
-            (table_dir / "table.csv").write_text(csv_text, encoding="utf-8")
-            (table_dir / "table.txt").write_text(aligned, encoding="utf-8")
-        print(f"tables: {table_dir / 'table.csv'}, {table_dir / 'table.txt'}")
+        csv_path, txt_path = table_dir / "table.csv", table_dir / "table.txt"
+        _make_dir(table_dir)
+        with _removed_on_failure() as written:
+            _write("tables", [(csv_path, csv_text.encode("utf-8")), (txt_path, aligned.encode("utf-8"))], written)
+        print(f"tables: {csv_path}, {txt_path}")
     return 0
 
 

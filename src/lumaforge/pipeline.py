@@ -48,7 +48,6 @@ from .quality_metrics import (
     MetricsReport,
     PsnrResult,
     histogram_csv,
-    improvement_pct,
     squared_error_total,
 )
 from .rng import U64_MAX, derive_seed
@@ -258,9 +257,10 @@ _WAITING_FRAMES = 2  # frames in flight beyond one per worker: computed, waiting
 
 
 def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) -> None:
-    """Write the (path, bytes) artifacts of `what` ("frame N"), or raise PipelineStageError.
+    """Write the (path, bytes) artifacts of `what` ("frame N", "report"), or raise PipelineStageError.
 
-    A path joins `written` once this run has opened it, so a failed run removes only its own files.
+    Every file a command writes is opened here. A path joins `written` once
+    this run has opened it, so a failed run removes only its own files.
     """
     for path, data in artifacts:
         try:
@@ -274,6 +274,14 @@ def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) 
                 os.close(fd)
         except OSError as exc:
             raise PipelineStageError(f"{what}: {exc}") from exc
+
+
+def _make_dir(directory: Path) -> None:
+    """Create an output directory and its parents, or raise PipelineStageError."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -330,10 +338,7 @@ def _run_frames(
     if not _plain_name(name):  # a given sample_name passed this check in PipelineConfig
         raise IngestionError(f"frame file stem {name!r} cannot prefix artifact names; give a sample_name")
     out_dir = Path(cfg.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
+    _make_dir(out_dir)
     pad = max(3, len(str(len(sequence.paths) - 1)))
     mode = sequence.native_kind if native else cfg.mode
     kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]
@@ -372,15 +377,6 @@ def _run_frames(
     return sequence, frames
 
 
-def _improvement(gray_db: float | None, color_db: float | None) -> float | None:
-    """improvement_pct of a PSNR pair, or None unless both are finite and color is nonzero."""
-    if gray_db is None or color_db is None:
-        return None
-    if not (math.isfinite(gray_db) and math.isfinite(color_db)) or color_db == 0:
-        return None
-    return improvement_pct(gray_db, color_db)
-
-
 def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     """Run the full pipeline over one sequence and write all artifacts.
 
@@ -398,15 +394,13 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
             samples = len(sse) * dims.area * (1 if kind == "gray" else 3)
             return PsnrResult.from_mse(sum(sse) / samples).psnr_db if sse else None
 
-        gray_psnr, color_psnr = pooled_psnr("gray"), pooled_psnr("color")
         report = MetricsReport(
             sample_name=cfg.sample_name or sequence.name,
             n_frames=len(frames),
             frame_dims=dims,
             pipeline_config_digest=cfg.digest(),
-            gray_psnr_db=gray_psnr,
-            color_psnr_db=color_psnr,
-            improvement_pct=_improvement(gray_psnr, color_psnr),
+            gray_psnr_db=pooled_psnr("gray"),
+            color_psnr_db=pooled_psnr("color"),
             size_label=cfg.size_label,
         )
         _write("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())], written)
@@ -476,17 +470,15 @@ def _csv_cell(text: str) -> str:
 def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
     """Render reports as (csv_text, aligned_text), one row per sample.
 
-    The improvement column is recomputed from the gray/color PSNR pair when
-    both are present and finite; missing values render as n/a.
+    The improvement column is the report's improvement_pct, which
+    MetricsReport derives from a finite PSNR pair; missing values render as n/a.
     """
     if not reports:
         raise ConfigurationError("report_table needs at least one report")
     header = ["sample", "size", "frames", "gray_psnr_db", "color_psnr_db", "improvement_pct"]
     rows = [header]
     for report in reports:
-        improvement = _improvement(report.gray_psnr_db, report.color_psnr_db)
-        if improvement is None:
-            improvement = report.improvement_pct
+        improvement = report.improvement_pct
         rows.append(
             [
                 report.sample_name,

@@ -13,13 +13,12 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._declared import build, read_json
 from .errors import ConfigurationError, IngestionError
-from .luma_equalize import N_LEVELS, Histogram
+from .luma_equalize import N_LEVELS
 from .pixel_core import ColorBuffer, Dimensions, PixelBuffer
 
 PEAK_VALUE = 255
@@ -33,7 +32,6 @@ __all__ = [
     "psnr",
     "improvement_pct",
     "histogram_csv",
-    "load_histogram",
 ]
 
 
@@ -108,30 +106,6 @@ def histogram_csv(hist) -> bytes:
     return b"level,count,probability\n" + rows.encode("ascii")
 
 
-def load_histogram(path) -> Histogram:
-    """Parse a histogram CSV back into a Histogram (exact via the count column)."""
-    path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != "level,count,probability":
-        raise IngestionError(f"{path}: missing histogram CSV header")
-    if len(lines) != 1 + N_LEVELS:
-        raise IngestionError(f"{path}: expected {N_LEVELS} data rows, got {len(lines) - 1}")
-    counts = np.zeros(N_LEVELS, dtype=np.int64)
-    for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise IngestionError(f"{path}: malformed row {row}: {line!r}")
-        try:
-            level, count = int(parts[0]), int(parts[1])
-            float(parts[2])
-        except ValueError as exc:
-            raise IngestionError(f"{path}: malformed row {row}: {line!r}") from exc
-        if level != row:
-            raise IngestionError(f"{path}: level column out of order at row {row}")
-        counts[row] = count
-    return Histogram(counts)
-
-
 # the number fields in which the string "inf" stands for infinity (an infinite PSNR)
 _INF_FIELDS = ("gray_psnr_db", "color_psnr_db", "improvement_pct")
 
@@ -141,7 +115,9 @@ class MetricsReport:
     """Per-sequence quality summary; serialized as the report JSON artifact.
 
     PSNR fields are left None for paths the run did not take; infinite PSNR is
-    serialized as the string "inf".
+    serialized as the string "inf". improvement_pct is derived from a pair of
+    finite PSNRs whose color value is nonzero; otherwise it keeps the value
+    given (a stored one when loaded, else None).
     """
 
     sample_name: str
@@ -157,6 +133,9 @@ class MetricsReport:
         # ingestion rejects an empty directory, so no run reports fewer frames
         if self.n_frames < 1:
             raise ConfigurationError(f"n_frames must be at least 1, got {self.n_frames}")
+        pair = (self.gray_psnr_db, self.color_psnr_db)
+        if all(db is not None and math.isfinite(db) for db in pair) and self.color_psnr_db != 0:
+            self.improvement_pct = improvement_pct(*pair)
 
     def to_json_dict(self) -> dict:
         data = asdict(self)  # field order is the report's key order
@@ -169,16 +148,22 @@ class MetricsReport:
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("ascii")
 
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.to_json_bytes())
-
     @classmethod
     def load(cls, path) -> "MetricsReport":
-        """Read a report JSON file; one that is not a valid report raises IngestionError."""
+        """Read a report JSON file; one that is not a valid report raises IngestionError.
+
+        sample_name and size_label are cells of report tables, one line each,
+        so they must be printable text (`str.isprintable`).
+        """
         data = read_json(path, "metrics report", IngestionError)
         if isinstance(data, dict):
             data = {key: math.inf if key in _INF_FIELDS and value == "inf" else value for key, value in data.items()}
         try:
-            return build(cls, data, "metrics report", IngestionError)
+            report = build(cls, data, "metrics report", IngestionError)
+            for key in ("sample_name", "size_label"):
+                text = getattr(report, key)
+                if text is not None and not text.isprintable():
+                    raise IngestionError(f"metrics report {key} must be printable text, got {text!r}")
         except IngestionError as exc:
             raise IngestionError(f"{path}: {exc}") from exc
+        return report

@@ -1,9 +1,10 @@
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
-from lumaforge import ColorBuffer, PixelBuffer
+from lumaforge import ColorBuffer, PixelBuffer, write_image
 
 
 @pytest.fixture(autouse=True)
@@ -40,3 +41,24 @@ def from_planes(red: PixelBuffer, green: PixelBuffer, blue: PixelBuffer) -> Colo
 def planes(frame: ColorBuffer) -> tuple[PixelBuffer, PixelBuffer, PixelBuffer]:
     """A color frame's red, green and blue channels as gray planes."""
     return tuple(PixelBuffer(frame.data[:, :, c]) for c in range(3))
+
+
+def write_gray_sequence(directory, stem, frames):
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, frame in enumerate(frames):
+        write_image(frame, directory / f"{stem}_{i:03d}.pgm")
+
+
+def write_color_sequence(directory, stem, frames):
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, frame in enumerate(frames):
+        write_image(frame, directory / f"{stem}_{i:03d}.ppm")
+
+
+def tree_digest(directory):
+    """sha256 of every file under directory, keyed by its relative path."""
+    return {
+        str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }

@@ -1,10 +1,9 @@
-import hashlib
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import block_texture
+from conftest import block_texture, tree_digest, write_gray_sequence
 
 import lumaforge.cli as cli_module
 import lumaforge.pipeline as pipeline_module
@@ -19,20 +18,6 @@ from lumaforge import (
     write_image,
 )
 from lumaforge.cli import main
-
-
-def write_gray_sequence(directory, stem, frames):
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(frames):
-        write_image(frame, directory / f"{stem}_{i:03d}.pgm")
-
-
-def tree_digest(directory):
-    return {
-        str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(directory.rglob("*"))
-        if p.is_file()
-    }
 
 
 @pytest.fixture()
@@ -258,6 +243,12 @@ class TestStageCommands:
 # the required fields of a metrics report, as raw JSON text without the closing brace
 _REPORT_HEAD = '{"sample_name": "clip", "n_frames": 3, "frame_dims": [144, 176], "pipeline_config_digest": "d"'
 
+# a whole metrics report with a gray/color PSNR pair, as a dict for json.dumps
+_REPORT = {
+    "sample_name": "clip", "n_frames": 3, "frame_dims": [144, 176], "pipeline_config_digest": "d",
+    "gray_psnr_db": 22.30, "color_psnr_db": 26.65, "improvement_pct": None, "size_label": None,
+}
+
 
 class TestMetricsAndReport:
     def test_metrics_json(self, tmp_path, sequence_dir, capsys):
@@ -352,6 +343,44 @@ class TestMetricsAndReport:
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error:")
         assert not (tmp_path / "tables").exists()
+
+    def test_a_stale_stored_improvement_gives_way_to_the_pair(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**_REPORT, "improvement_pct": 99.0}))
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 0
+        assert (tmp_path / "tables" / "table.csv").read_text().splitlines()[1].split(",")[5] == "16.32"
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "16.32"
+
+    def test_a_metrics_report_of_a_tab_stem_is_no_table_row(self, tmp_path, capsys):
+        # metrics takes the stem as it is; the report reader, whose names start table rows, rejects it
+        frames, path = tmp_path / "frames", tmp_path / "r.json"
+        write_gray_sequence(frames, "clip\tx", [block_texture(0, rows=4, cols=4)])
+        argv = ["metrics", "--input-dir", str(frames), "--reference-dir", str(frames), "--output", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ingestion error: {path}: metrics report sample_name must be printable text, got 'clip\\tx'\n"
+
+    @pytest.mark.parametrize("text", ["\udc80", "clip\tx", "two\nlines"])
+    @pytest.mark.parametrize("key", ["sample_name", "size_label"])
+    def test_a_report_with_unprintable_text_is_an_ingestion_error(self, tmp_path, capsys, key, text):
+        # "\udc80" encodes as a file name (surrogateescape), so only the printable rule rejects it
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**_REPORT, key: text}))
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [f"ingestion error: {path}: metrics report {key} must be printable text, got {text!r}"]
+        assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "3"], ["--config", "c.json"]], ids=lambda f: f[0][2:])
+    def test_report_takes_no_config_seed_or_jobs(self, tmp_path, capsys, flag):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(_REPORT))
+        assert main(["report", *flag, str(path)]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
 
     def test_a_bad_report_among_several_is_named(self, tmp_path, capsys):
         good = {
@@ -501,6 +530,15 @@ class TestExitCodes:
         code = main(["report", str(tmp_path / "out" / "report.json"), "--output-dir", str(taken)])
         assert_one_pipeline_error(code, capsys, taken)
         assert taken.read_text() == "not a directory"
+
+    def test_a_table_that_cannot_be_written_removes_the_tables(self, tmp_path, capsys):
+        path, tables = tmp_path / "r.json", tmp_path / "tables"
+        path.write_text(json.dumps(_REPORT))
+        blocker = tables / "table.txt"
+        blocker.mkdir(parents=True)
+        code = main(["report", str(path), "--output-dir", str(tables)])
+        assert_one_pipeline_error(code, capsys, blocker)
+        assert list(tables.iterdir()) == [blocker]
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1

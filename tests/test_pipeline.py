@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import block_texture, color_block_texture, planes
+from conftest import (
+    block_texture,
+    color_block_texture,
+    planes,
+    tree_digest,
+    write_color_sequence,
+    write_gray_sequence,
+)
 
 import lumaforge.pipeline as pipeline_module
 from lumaforge import _declared
@@ -57,26 +64,6 @@ REFERENCE_PAIRS = [
     ("akiyo", "11Mb", 300, 15.06, 21.19),
     ("foreman", "7.25Mb", 100, 19.17, 28.06),
 ]
-
-
-def write_gray_sequence(directory, stem, frames):
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(frames):
-        write_image(frame, directory / f"{stem}_{i:03d}.pgm")
-
-
-def write_color_sequence(directory, stem, frames):
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(frames):
-        write_image(frame, directory / f"{stem}_{i:03d}.ppm")
-
-
-def tree_digest(directory):
-    digests = {}
-    for path in sorted(directory.rglob("*")):
-        if path.is_file():
-            digests[str(path.relative_to(directory))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
 
 
 # Any JSON value: text includes NUL and lone surrogates, and integers go past

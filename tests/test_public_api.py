@@ -3,7 +3,8 @@
 `__all__` lists are strings, so a name deleted from a module but left in its
 `__all__` only fails on `from module import *`. This walks every module of the
 package, and the package itself. It also checks that no module keeps an import
-or a private name that nothing in it uses.
+or a private name that nothing in it uses, and that every file a command
+writes is opened in one place.
 """
 
 import ast
@@ -80,3 +81,35 @@ def test_no_unused_imports_or_private_names(path):
     # the package's own imports are its public API
     checked = _checked_names(tree, imports=path.name != "__init__.py")
     assert [name for name in checked if name not in used] == []
+
+
+def _file_writes(path: Path):
+    """(module.function, call) for each call in a module that can create or change a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            what = "os.open"
+        elif name == "open":
+            # builtin open(file, mode) or Path.open(mode); a mode that is no literal counts as writing
+            positional = call.args[1:] if isinstance(func, ast.Name) else call.args
+            mode = next((k.value for k in call.keywords if k.arg == "mode"), positional[0] if positional else None)
+            if mode is None or isinstance(mode, ast.Constant) and not set("wax+") & set(str(mode.value)):
+                continue
+            what = "open"
+        elif name in ("write_bytes", "write_text"):
+            what = name
+        else:
+            continue
+        scope = parents[call]
+        while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+            scope = parents[scope]
+        yield f"{path.stem}.{getattr(scope, 'name', '<module>')}", what
+
+
+def test_one_write_path():
+    # every command writes through pipeline._write; netpbm.write_image is library API no command calls
+    writes = {write for path in SOURCES for write in _file_writes(path)}
+    assert writes == {("pipeline._write", "os.open"), ("netpbm.write_image", "write_bytes")}
