@@ -2,9 +2,15 @@
 
 Subcommands: luma, noise, filter, enhance (single stages), run (full
 pipeline), metrics (pooled PSNR of one directory against a reference), and
-report (merge metrics JSONs into a table). Every subcommand but report
-accepts --config plus direct flag overrides of individual config fields;
-flag > config file > LUMAFORGE_SEED (for the seed) > built-in default.
+report (merge metrics JSONs into a table). Each subcommand takes only the
+flags it reads. The stage flags are --config --seed --jobs --input-dir
+--output-dir --resize --sample-name; luma adds --luma-weights, noise adds
+--noise-kind --noise-d --noise-seed, filter adds --filter-kind --window, and
+enhance adds --sigma. run takes all of these and --mode --psnr-reference
+--size-label; metrics takes run's flags but --jobs, and --reference-dir
+--output; report takes report files and --output-dir. A --config file may set
+every field for every command; flag > config file > LUMAFORGE_SEED (for the
+seed) > built-in default.
 
 Exit codes: 0 success, 1 usage/config error, 2 ingestion error, 3 pipeline
 stage error.
@@ -39,9 +45,6 @@ from .quality_metrics import MetricsReport
 
 SEED_ENV_VAR = "LUMAFORGE_SEED"
 
-_SUPPRESS = argparse.SUPPRESS
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the exit-code contract
     # reserves 2 for ingestion errors, so remap to a configuration error
@@ -61,13 +64,12 @@ def _number_list(sep: str, convert):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=_SUPPRESS, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=_SUPPRESS, help="base 64-bit seed")
-    parser.add_argument("--jobs", type=int, default=_SUPPRESS, help="worker count (default 1)")
-
-
-# flag, config key ("section.field" inside noise or filter), type, choices, help
+# flag, dest, type, choices, help; an override's dest is its config key ("section.field" inside noise or filter)
+_COMMON = (
+    ("--config", "config", str, None, "JSON config file"),
+    ("--seed", "seed", int, None, "base 64-bit seed"),
+    ("--jobs", "jobs", int, None, "worker count (default 1)"),
+)
 _OVERRIDES = (
     ("--input-dir", "input_dir", str, None, "frame directory"),
     ("--output-dir", "output_dir", str, None, "artifact directory"),
@@ -81,48 +83,44 @@ _OVERRIDES = (
     ("--sigma", "sigma", float, None, "equalization weight (default 0)"),
     ("--mode", "mode", str, MODES, "processing path"),
     ("--psnr-reference", "psnr_reference", str, PSNR_REFERENCES, "frame PSNR is measured against"),
-    ("--sample-name", "sample_name", str, None, "report sample name"),
+    ("--sample-name", "sample_name", str, None, "prefix of every artifact name, and the report's sample name"),
     ("--size-label", "size_label", str, None, "source size metadata"),
 )
+_FLAGS = {spec[0]: spec for spec in _COMMON + _OVERRIDES}
 
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    for flag, key, convert, choices, text in _OVERRIDES:
-        # the metavar argparse would derive from the flag, not from the dotted key
-        metavar = None if choices else flag[2:].upper().replace("-", "_")
-        parser.add_argument(flag, dest=key, type=convert, choices=choices, metavar=metavar,
-                            default=_SUPPRESS, help=text)
+# Each command takes only the flags of the config fields it reads; which fields
+# a stage reads is decided in pipeline.run_stage. A config file may still set
+# every field, since one config is shared by all commands.
+_STAGE_FLAGS = ("--config", "--seed", "--jobs", "--input-dir", "--output-dir", "--resize", "--sample-name")
+_COMMANDS = {
+    "luma": ("convert frames to grayscale luminance", (*_STAGE_FLAGS, "--luma-weights")),
+    "noise": ("inject the configured noise", (*_STAGE_FLAGS, "--noise-kind", "--noise-d", "--noise-seed")),
+    "filter": ("apply the configured smoothing filter", (*_STAGE_FLAGS, "--filter-kind", "--window")),
+    "enhance": ("equalize frame brightness (also writes histograms)", (*_STAGE_FLAGS, "--sigma")),
+    "run": ("run the full pipeline and write a metrics report", tuple(_FLAGS)),
+    # every field reaches the report's pipeline_config_digest; frames are read on the calling thread
+    "metrics": ("pooled PSNR of input frames vs a reference directory", tuple(f for f in _FLAGS if f != "--jobs")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lumaforge", description=__doc__.split("\n\n")[0])
-    _add_common(parser)
     subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
+    handlers = {"run": _cmd_run, "metrics": _cmd_metrics}
+    for command, (summary, flags) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
+        sub.set_defaults(handler=handlers.get(command, _cmd_stage))
+        for flag in flags:
+            _, dest, convert, choices, text = _FLAGS[flag]
+            # the metavar argparse would derive from the flag, not from the dotted key
+            metavar = None if choices else flag[2:].upper().replace("-", "_")
+            sub.add_argument(flag, dest=dest, type=convert, choices=choices, metavar=metavar,
+                             default=argparse.SUPPRESS, help=text)
 
-    stage_help = {
-        "luma": "convert frames to grayscale luminance",
-        "noise": "inject the configured noise",
-        "filter": "apply the configured smoothing filter",
-        "enhance": "equalize frame brightness (also writes histograms)",
-    }
-    for stage, text in stage_help.items():
-        sub = subparsers.add_parser(stage, help=text)
-        _add_common(sub)
-        _add_overrides(sub)
-        sub.set_defaults(handler=_cmd_stage, stage=stage)
-
-    run = subparsers.add_parser("run", help="run the full pipeline and write a metrics report")
-    _add_common(run)
-    _add_overrides(run)
-    run.set_defaults(handler=_cmd_run)
-
-    metrics = subparsers.add_parser("metrics", help="pooled PSNR of input frames vs a reference directory")
-    _add_common(metrics)
-    _add_overrides(metrics)
+    metrics = subparsers.choices["metrics"]
     metrics.add_argument("--reference-dir", dest="reference_dir", required=True,
                          help="directory of reference frames")
     metrics.add_argument("--output", default=None, help="also write the report JSON here")
-    metrics.set_defaults(handler=_cmd_metrics)
 
     report = subparsers.add_parser("report", help="merge metrics reports into a CSV + aligned table")
     report.add_argument("reports", nargs="+", help="metrics report JSON files")
@@ -169,20 +167,16 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
     return PipelineConfig.from_mapping(mapping)
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    return getattr(args, "jobs", 1)
-
-
 def _cmd_stage(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    written = run_stage(cfg, args.stage, jobs=_jobs(args))
-    print(f"{args.stage}: wrote {len(written)} frames to {cfg.output_dir}")
+    written = run_stage(cfg, args.command, jobs=getattr(args, "jobs", 1))
+    print(f"{args.command}: wrote {len(written)} frames to {cfg.output_dir}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    report = run_pipeline(cfg, jobs=_jobs(args))
+    report = run_pipeline(cfg, jobs=getattr(args, "jobs", 1))
     _, aligned = report_table([report])
     print(aligned, end="")
     print(f"report: {Path(cfg.output_dir) / 'report.json'}")

@@ -141,10 +141,10 @@ class PipelineConfig:
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         # the OS takes names as NUL-free bytes; reject others before anything is made
-        for key in ("input_dir", "output_dir", "sample_name"):
+        for key in ("input_dir", "output_dir"):
             name = getattr(self, key)
             try:
-                encodable = name is None or b"\0" not in os.fsencode(name)
+                encodable = b"\0" not in os.fsencode(name)
             except UnicodeEncodeError:
                 encodable = False
             if not encodable:
@@ -159,6 +159,9 @@ class PipelineConfig:
         name = self.sample_name
         if name is not None and not _plain_name(name):
             raise ConfigurationError(f"sample_name must be a printable file name without / or \\, got {name!r}")
+        # a report table cell, one line like the sample name
+        if self.size_label is not None and not self.size_label.isprintable():
+            raise ConfigurationError(f"size_label must be printable text, got {self.size_label!r}")
 
     def to_mapping(self) -> dict:
         """Canonical dict of every config field, defaults resolved."""

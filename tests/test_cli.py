@@ -1,9 +1,19 @@
+import argparse
+import importlib.util
 import json
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import block_texture, tree_digest, write_gray_sequence
+from conftest import (
+    block_texture,
+    color_block_texture,
+    tree_digest,
+    write_color_sequence,
+    write_gray_sequence,
+)
 
 import lumaforge.cli as cli_module
 import lumaforge.pipeline as pipeline_module
@@ -78,18 +88,6 @@ class TestRunCommand:
         report_a = json.loads((tmp_path / "out_a" / "report.json").read_text())
         report_b = json.loads((tmp_path / "out_b" / "report.json").read_text())
         assert report_a["pipeline_config_digest"] != report_b["pipeline_config_digest"]
-
-    def test_global_flags_before_subcommand(self, tmp_path, sequence_dir):
-        code = main(
-            [
-                "--seed", "5",
-                "run",
-                "--input-dir", str(sequence_dir),
-                "--output-dir", str(tmp_path / "out"),
-                "--resize", "none",
-            ]
-        )
-        assert code == 0
 
     def test_seed_env_fallback_and_override(self, tmp_path, sequence_dir, monkeypatch):
         base = [
@@ -216,6 +214,134 @@ class TestOverrideTable:
         err = capsys.readouterr().err.replace(str(path), "cfg.json")
         assert err.strip().splitlines() == [f"error: {line}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# The option flags each command takes: those of the config fields it reads.
+_STAGE_FLAGS = {"--config", "--seed", "--jobs", "--input-dir", "--output-dir", "--resize", "--sample-name"}
+_RUN_FLAGS = _STAGE_FLAGS | {
+    "--luma-weights", "--noise-kind", "--noise-d", "--noise-seed", "--filter-kind", "--window",
+    "--sigma", "--mode", "--psnr-reference", "--size-label",
+}
+COMMAND_FLAGS = {
+    "luma": _STAGE_FLAGS | {"--luma-weights"},
+    "noise": _STAGE_FLAGS | {"--noise-kind", "--noise-d", "--noise-seed"},
+    "filter": _STAGE_FLAGS | {"--filter-kind", "--window"},
+    "enhance": _STAGE_FLAGS | {"--sigma"},
+    "run": _RUN_FLAGS,
+    "metrics": _RUN_FLAGS - {"--jobs"} | {"--reference-dir", "--output"},
+    "report": {"--output-dir"},
+}
+
+# a valid value of each flag some command does not take
+_REFUSED_VALUES = {
+    "--jobs": "2", "--luma-weights": "0.2,0.3,0.5", "--noise-kind": "gaussian", "--noise-d": "0.1",
+    "--noise-seed": "3", "--filter-kind": "median", "--window": "3x3", "--sigma": "0.3", "--mode": "both",
+    "--psnr-reference": "noisy", "--size-label": "x",
+}
+
+# a value other than the default of each config field some stage does not read
+_UNREAD_VALUES = {
+    "luma_weights": [0.2, 0.3, 0.5],
+    "noise": {"kind": "gaussian", "d": 0.1, "seed": 9},
+    "filter": {"kind": "hybrid_median", "window": [5, 5]},
+    "sigma": 0.3,
+    "mode": "both",
+    "psnr_reference": "noisy",
+    "size_label": "x",
+}
+
+
+def option_flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def command_argv(command, sequence_dir, tmp_path) -> list[str]:
+    """A command line the command runs with exit 0; metrics writes its report to tmp_path/r.json."""
+    if command == "metrics":
+        return ["metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
+                "--output", str(tmp_path / "r.json")]
+    own = {"noise": ["--noise-kind", "gaussian", "--noise-d", "0.01"], "filter": ["--filter-kind", "median"]}
+    return [command, "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out"), "--resize", "none",
+            *own.get(command, [])]
+
+
+class TestCommandFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli_module.build_parser()
+        assert option_flags(parser) == set()
+        commands = subparsers(parser)
+        assert {name: option_flags(sub) for name, sub in commands.items()} == COMMAND_FLAGS
+        assert sum(len(flags) for flags in COMMAND_FLAGS.values()) == 71
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("luma", "noise", "filter", "enhance", "metrics")
+        for flag in sorted(_RUN_FLAGS - COMMAND_FLAGS[command])
+    ])
+    def test_a_flag_the_command_does_not_take_is_refused(self, tmp_path, sequence_dir, capsys, command, flag):
+        value = _REFUSED_VALUES[flag]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(command_argv(command, sequence_dir, tmp_path) + [flag, value]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {flag} {value}"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--seed", "--jobs", "--config"])
+    @pytest.mark.parametrize("command", ["run", "luma", "report"])
+    def test_a_flag_before_the_command_is_refused(self, tmp_path, sequence_dir, capsys, flag, command):
+        if command == "report":
+            (tmp_path / "r.json").write_text(json.dumps(_REPORT))
+            argv = ["report", str(tmp_path / "r.json")]
+        else:
+            argv = command_argv(command, sequence_dir, tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"input_dir": "in", "output_dir": "out"}))
+        value = {"--seed": "5", "--jobs": "2", "--config": str(tmp_path / "cfg.json")}[flag]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([flag, value, *argv]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("source", ["gray", "color"])
+    @pytest.mark.parametrize("stage", ["luma", "noise", "filter", "enhance"])
+    def test_a_field_the_stage_has_no_flag_for_changes_no_byte(self, tmp_path, stage, source):
+        # pipeline.run_stage decides what a stage reads; the command table must agree with it
+        frames = tmp_path / "frames"
+        if source == "gray":
+            write_gray_sequence(frames, "clip", [block_texture(i, rows=12, cols=16) for i in range(3)])
+        else:
+            write_color_sequence(frames, "clip", [color_block_texture(i, rows=12, cols=16) for i in range(3)])
+        taken = option_flags(subparsers(cli_module.build_parser())[stage])
+        unread = sorted({key.partition(".")[0] for flag, key, *_ in cli_module._OVERRIDES if flag not in taken})
+        sections = {"noise": {"kind": "salt_pepper", "d": 0.1}, "filter": {"kind": "median"}}
+        own = {stage: sections[stage]} if stage in sections else {}
+
+        def tree(name, **fields):
+            config = {"input_dir": str(frames), "output_dir": str(tmp_path / name), "resize_to": None, **own, **fields}
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert main([stage, "--config", str(tmp_path / f"{name}.json")]) == 0
+            return tree_digest(tmp_path / name)
+
+        plain = tree("plain")
+        assert unread
+        for field in unread:
+            assert tree(field, **{field: _UNREAD_VALUES[field]}) == plain, field
+
+    def test_every_benchmark_command_line_parses(self, monkeypatch):
+        # a flag the CLI refused would fail every run of that benchmark workload
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert workloads.WORKLOADS
+        for workload in workloads.WORKLOADS.values():
+            for jobs in (None, 1):
+                argv = workload.cli_args(workloads.program_seed(7), "../inputs", "out", jobs)
+                args = cli_module.build_parser().parse_args(argv)
+                assert args.command == workload.command
 
 
 class TestStageCommands:
@@ -631,6 +757,18 @@ class TestConfigValidation:
             argv = self.run_args(sequence_dir, tmp_path, "--sample-name", name)
         else:
             argv = self.run_config(sequence_dir, tmp_path, sample_name=name)
+        before = sorted(tmp_path.rglob("*"))
+        self.assert_config_error(argv, tmp_path, capsys)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("label", ["a\tb", "two\nlines", "nul\0", "c1\x85", "ls\u2028"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_size_label_with_a_control_character(self, tmp_path, sequence_dir, capsys, label, source):
+        # the label is one cell of each report table, which `report` would refuse to load
+        if source == "flag":
+            argv = self.run_args(sequence_dir, tmp_path, "--size-label", label)
+        else:
+            argv = self.run_config(sequence_dir, tmp_path, size_label=label)
         before = sorted(tmp_path.rglob("*"))
         self.assert_config_error(argv, tmp_path, capsys)
         assert sorted(tmp_path.rglob("*")) == before
