@@ -33,9 +33,9 @@ from .pipeline import (
     PipelineConfig,
     ingest_frames,
     report_table,
+    run_metrics,
     run_pipeline,
     run_stage,
-    sequence_psnr,
 )
 from .pixel_core import (
     BT601_WEIGHTS,

@@ -3,14 +3,14 @@
 Subcommands: luma, noise, filter, enhance (single stages), run (full
 pipeline), metrics (pooled PSNR of one directory against a reference), and
 report (merge metrics JSONs into a table). Each subcommand takes only the
-flags it reads. The stage flags are --config --seed --jobs --input-dir
---output-dir --resize --sample-name; luma adds --luma-weights, noise adds
---noise-kind --noise-d --noise-seed, filter adds --filter-kind --window, and
-enhance adds --sigma. run takes all of these and --mode --psnr-reference
---size-label; metrics takes run's flags but --jobs, and --reference-dir
---output; report takes report files and --output-dir. A --config file may set
-every field for every command; flag > config file > LUMAFORGE_SEED (for the
-seed) > built-in default.
+flags it reads, after its name. The stage flags are --config --seed --jobs
+--input-dir --output-dir --resize --sample-name; luma adds --luma-weights,
+noise adds --noise-kind --noise-d --noise-seed, filter adds --filter-kind
+--window, and enhance adds --sigma. run takes all of these and --mode
+--psnr-reference --size-label; metrics takes run's flags but --jobs, and
+--reference-dir --output; report takes report files and --output-dir. A
+--config file may set every field for every command; flag > config file >
+LUMAFORGE_SEED (for the seed) > built-in default.
 
 Exit codes: 0 success, 1 usage/config error, 2 ingestion error, 3 pipeline
 stage error.
@@ -35,11 +35,10 @@ from .pipeline import (
     _make_dir,
     _removed_on_failure,
     _write,
-    ingest_frames,
     report_table,
+    run_metrics,
     run_pipeline,
     run_stage,
-    sequence_psnr,
 )
 from .quality_metrics import MetricsReport
 
@@ -185,19 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, default_output=".")
-    result = ingest_frames(cfg.input_dir)
-    reference = ingest_frames(args.reference_dir)
-    pooled = sequence_psnr(result, reference)
-    kind = "color" if "color" in (result.native_kind, reference.native_kind) else "gray"
-    report = MetricsReport(
-        sample_name=cfg.sample_name or result.name,
-        n_frames=len(result.paths),
-        frame_dims=result.dims,
-        pipeline_config_digest=cfg.digest(),
-        gray_psnr_db=pooled.psnr_db if kind == "gray" else None,
-        color_psnr_db=pooled.psnr_db if kind == "color" else None,
-        size_label=cfg.size_label,
-    )
+    report = run_metrics(cfg, args.reference_dir)
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.output:
         with _removed_on_failure() as written:
@@ -221,7 +208,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # argparse would take the flag's value for the subcommand, and name only that
+            raise ConfigurationError(f"{argv[0]} comes before the subcommand; flags go after the subcommand")
         args = parser.parse_args(argv)
         handler = getattr(args, "handler", None)
         if handler is None:

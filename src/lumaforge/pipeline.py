@@ -11,7 +11,8 @@ smoothing, brightness equalization, and pooled PSNR of the result against the
 clean pre-noise reference. Artifacts per run: one enhanced frame per input
 frame and path, pre/post-enhancement histogram CSVs, and a single metrics
 report JSON. A single-stage run (run_stage) is the same frame loop with the
-other steps switched off and no PSNR or report.
+other steps switched off and no PSNR or report. run_metrics reports the
+pooled PSNR of a directory against a reference, through run_pipeline's builder.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -81,7 +82,7 @@ __all__ = [
     "ingest_frames",
     "run_pipeline",
     "run_stage",
-    "sequence_psnr",
+    "run_metrics",
     "report_table",
 ]
 
@@ -331,8 +332,8 @@ def _run_frames(
     with at most jobs + _WAITING_FRAMES frames in flight (submitted, unwritten).
     Frames take the paths of cfg.mode, or of the sequence's native kind when
     `native` is set. Returns the sequence and, per frame in index order, one
-    (kind, frame path, squared error vs the PSNR reference, or 0 unless
-    `score`) per path taken.
+    (kind, frame path, squared error vs the PSNR reference or 0 unless
+    `score`, sample count) per path taken.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -361,7 +362,7 @@ def _run_frames(
                         artifacts.append((out_dir / f"{name}_{kind}_hist_{when}_{tag}.csv", histogram_csv(hist)))
                 path = out_dir / f"{name}_{infix}_{tag}.{ext}"
                 artifacts.append((path, encode_image(out)))
-                outputs.append((kind, path, squared_error_total(out, reference) if score else 0))
+                outputs.append((kind, path, squared_error_total(out, reference) if score else 0, out.data.size))
         except Exception as exc:
             raise PipelineStageError(f"frame {index}: {exc}") from exc
         return outputs, artifacts
@@ -390,22 +391,11 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     """
     with _removed_on_failure() as written:
         sequence, frames = _run_frames(cfg, jobs, written, score=True)
-        dims = cfg.resize_to if cfg.resize_to is not None else sequence.dims
-
-        def pooled_psnr(kind: str) -> float | None:
-            sse = [frame_sse for outputs in frames for k, _, frame_sse in outputs if k == kind]
-            samples = len(sse) * dims.area * (1 if kind == "gray" else 3)
-            return PsnrResult.from_mse(sum(sse) / samples).psnr_db if sse else None
-
-        report = MetricsReport(
-            sample_name=cfg.sample_name or sequence.name,
-            n_frames=len(frames),
-            frame_dims=dims,
-            pipeline_config_digest=cfg.digest(),
-            gray_psnr_db=pooled_psnr("gray"),
-            color_psnr_db=pooled_psnr("color"),
-            size_label=cfg.size_label,
-        )
+        totals: dict[str, tuple[int, int]] = {}
+        for kind, _, sse, samples in (output for outputs in frames for output in outputs):
+            kind_sse, kind_samples = totals.get(kind, (0, 0))
+            totals[kind] = (kind_sse + sse, kind_samples + samples)
+        report = _report(cfg, sequence, cfg.resize_to if cfg.resize_to is not None else sequence.dims, totals)
         _write("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())], written)
     return report
 
@@ -439,30 +429,43 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
         _, frames = _run_frames(
             steps, jobs, written, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
         )
-    return [path for outputs in frames for _, path, _ in outputs]
+    return [path for outputs in frames for _, path, *_ in outputs]
 
 
-def sequence_psnr(result: FrameSequence, reference: FrameSequence) -> PsnrResult:
-    """Pooled PSNR of one sequence against a same-shaped reference, one frame pair at a time."""
+def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
+    """Pooled PSNR of the frames in cfg.input_dir against those in reference_dir; writes nothing.
+
+    Frames are compared one pair at a time, both promoted to color. The PSNR
+    is reported as color if either sequence holds a .ppm, else as gray.
+    """
+    result, reference = ingest_frames(cfg.input_dir), ingest_frames(reference_dir)
     if len(result.paths) != len(reference.paths):
-        raise ConfigurationError(
-            f"sequence length mismatch: {len(result.paths)} vs {len(reference.paths)}"
-        )
-    sse = 0
-    samples = 0
+        raise ConfigurationError(f"sequence length mismatch: {len(result.paths)} vs {len(reference.paths)}")
+    sse = samples = 0
     for index in range(len(result.paths)):
         ours = result.load(index)
         sse += squared_error_total(ours, reference.load(index))
         samples += ours.data.size
-    return PsnrResult.from_mse(sse / samples)
+    kind = "color" if "color" in (result.native_kind, reference.native_kind) else "gray"
+    return _report(cfg, result, result.dims, {kind: (sse, samples)})
+
+
+def _report(cfg: PipelineConfig, sequence: FrameSequence, dims: Dimensions, totals: dict) -> MetricsReport:
+    """The report of a sequence from per-kind (squared error, sample count) totals; a kind without one has no PSNR."""
+    psnr_db = {kind: PsnrResult.pooled(*total).psnr_db for kind, total in totals.items()}
+    return MetricsReport(
+        sample_name=cfg.sample_name or sequence.name,
+        n_frames=len(sequence.paths),
+        frame_dims=dims,
+        pipeline_config_digest=cfg.digest(),
+        gray_psnr_db=psnr_db.get("gray"),
+        color_psnr_db=psnr_db.get("color"),
+        size_label=cfg.size_label,
+    )
 
 
 def _format_db(value: float | None) -> str:
-    if value is None:
-        return "n/a"
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.2f}"
+    return "n/a" if value is None else f"{value:.2f}"  # an infinite PSNR formats as "inf"
 
 
 def _csv_cell(text: str) -> str:

@@ -2,7 +2,8 @@
 
 PSNR is measured against the 8-bit peak of 255 and pooled by accumulating
 integer squared-error totals (exact, order-independent) before the single
-final division: one PSNR per sequence, not a mean of per-frame PSNRs.
+final division in PsnrResult.pooled: one PSNR per sequence, not a mean of
+per-frame PSNRs.
 Improvement percentages compare a color-path result against its grayscale
 counterpart, with the color value as the denominator.
 """
@@ -47,12 +48,14 @@ class PsnrResult:
     psnr_db: float
 
     @classmethod
-    def from_mse(cls, mse: float) -> "PsnrResult":
-        if mse < 0:
-            raise ConfigurationError(f"mean squared error cannot be negative, got {mse}")
-        if mse == 0:
+    def pooled(cls, sse: int, samples: int) -> "PsnrResult":
+        """PSNR of an integer squared-error total over `samples` samples; every PSNR is computed here."""
+        if sse < 0 or samples < 1:
+            raise ConfigurationError(f"cannot pool a squared error of {sse} over {samples} samples")
+        if sse == 0:
             return cls(0.0, math.inf)
-        return cls(float(mse), 10.0 * math.log10(PEAK_VALUE**2 / mse))
+        mse = sse / samples
+        return cls(mse, 10.0 * math.log10(PEAK_VALUE**2 / mse))
 
     @property
     def is_infinite(self) -> bool:
@@ -79,8 +82,7 @@ def psnr(a, b) -> PsnrResult:
     """
     if not isinstance(a, (PixelBuffer, ColorBuffer)):
         raise ConfigurationError(f"psnr expects frame buffers, got {type(a).__name__}")
-    n_samples = a.data.size
-    return PsnrResult.from_mse(squared_error_total(a, b) / n_samples)
+    return PsnrResult.pooled(squared_error_total(a, b), a.data.size)
 
 
 def improvement_pct(gray_db: float, color_db: float) -> float:

@@ -300,8 +300,9 @@ class TestCommandFlags:
         value = {"--seed": "5", "--jobs": "2", "--config": str(tmp_path / "cfg.json")}[flag]
         before = sorted(tmp_path.rglob("*"))
         assert main([flag, value, *argv]) == 1
-        err_lines = capsys.readouterr().err.strip().splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+        # the one error line names the flag, not the value argparse would take for the subcommand
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} comes before the subcommand; flags go after the subcommand"]
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("source", ["gray", "color"])
@@ -669,6 +670,36 @@ class TestExitCodes:
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("case, code, start", [
+        ("seed_beyond_64_bits", 1, "error: seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+        ("unknown_filter_kind", 1, "error: unknown filter kind 'bogus'; expected one of ('median', 'hybrid_median')"),
+        ("config_not_an_object", 1, "error: {tmp}/cfg.json: config must be a JSON object"),
+        ("config_a_directory", 1, "error: {tmp}/cfg.json: cannot read config: "),
+        ("duplicate_frame_index", 2, "ingestion error: duplicate frame index 1 in {tmp}/frames"),
+        ("frame_file_a_directory", 2, "ingestion error: {tmp}/frames/clip_003.pgm: cannot read frame file: "),
+    ])
+    def test_a_bad_input_is_its_exit_code_and_one_error_line(self, tmp_path, sequence_dir, capsys, case, code, start):
+        config = tmp_path / "cfg.json"
+        argv = ["run", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]
+        if case == "seed_beyond_64_bits":
+            argv += ["--seed", str(2**64)]
+        elif case == "unknown_filter_kind":
+            argv += ["--filter-kind", "bogus"]
+        elif case == "config_not_an_object":
+            config.write_text("[1]")
+            argv = ["run", "--config", str(config)]
+        elif case == "config_a_directory":
+            config.mkdir()
+            argv = ["run", "--config", str(config)]
+        elif case == "duplicate_frame_index":
+            write_image(block_texture(9, rows=12, cols=16), sequence_dir / "clip_1.pgm")
+        else:
+            (sequence_dir / "clip_003.pgm").mkdir()
+        assert main(argv) == code
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(start.format(tmp=tmp_path))
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeedValidation:

@@ -49,8 +49,8 @@ from lumaforge import (
     report_table,
     rgb_to_luma,
     run_pipeline,
+    run_metrics,
     run_stage,
-    sequence_psnr,
     write_image,
 )
 from lumaforge.quality_metrics import squared_error_total
@@ -452,9 +452,8 @@ class TestRunPipeline:
             for slot, (ours, clean) in enumerate(zip(planes(color), planes(frame)), start=1):
                 color_sse += squared_error_total(ours, noised(clean, index, slot))
         samples = len(frames) * 16 * 16
-        assert report.gray_psnr_db == pytest.approx(PsnrResult.from_mse(gray_sse / samples).psnr_db)
-        assert report.color_psnr_db == pytest.approx(
-            PsnrResult.from_mse(color_sse / (3 * samples)).psnr_db)
+        assert report.gray_psnr_db == PsnrResult.pooled(gray_sse, samples).psnr_db
+        assert report.color_psnr_db == PsnrResult.pooled(color_sse, 3 * samples).psnr_db
 
     def test_stage_failure_cleans_up_with_frame_index(self, tmp_path, monkeypatch):
         frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(3)]
@@ -662,23 +661,34 @@ class TestStreaming:
         assert peaks_kib[1] - peaks_kib[0] < 4 * 1024, peaks_kib
 
 
-class TestSequencePsnr:
+class TestRunMetrics:
     def test_pools_over_frames(self, tmp_path):
         plane_a = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
         plane_b = PixelBuffer(np.ones((2, 2), dtype=np.uint8))
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        write_gray_sequence(a_dir, "clip", [plane_a, plane_a])
-        write_gray_sequence(b_dir, "clip", [plane_a, plane_b])
-        pooled = sequence_psnr(ingest_frames(a_dir), ingest_frames(b_dir))
+        write_gray_sequence(tmp_path / "in", "clip", [plane_a, plane_a])
+        write_gray_sequence(tmp_path / "ref", "clip", [plane_a, plane_b])
+        report = run_metrics(small_config(tmp_path, size_label="tiny"), tmp_path / "ref")
         # 12 of 24 promoted samples differ by 1: mse = 0.5
-        assert pooled.mse == 0.5
+        assert report.gray_psnr_db == 10 * math.log10(255**2 / 0.5)
+        assert report.color_psnr_db is None and report.improvement_pct is None
+        assert (report.sample_name, report.n_frames, report.frame_dims) == ("clip", 2, Dimensions(2, 2))
+        assert report.pipeline_config_digest == small_config(tmp_path, size_label="tiny").digest()
+        assert report.size_label == "tiny"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_color_sequence_on_either_side_reports_color(self, tmp_path):
+        gray = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
+        write_gray_sequence(tmp_path / "in", "clip", [gray])
+        write_color_sequence(tmp_path / "ref", "clip", [ColorBuffer(np.ones((2, 2, 3), dtype=np.uint8))])
+        report = run_metrics(small_config(tmp_path), tmp_path / "ref")
+        assert report.gray_psnr_db is None and report.color_psnr_db == 10 * math.log10(255**2)
 
     def test_rejects_length_mismatch(self, tmp_path):
         plane = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
-        write_gray_sequence(tmp_path / "a", "clip", [plane])
-        write_gray_sequence(tmp_path / "b", "clip", [plane, plane])
+        write_gray_sequence(tmp_path / "in", "clip", [plane])
+        write_gray_sequence(tmp_path / "ref", "clip", [plane, plane])
         with pytest.raises(ConfigurationError, match="length"):
-            sequence_psnr(ingest_frames(tmp_path / "a"), ingest_frames(tmp_path / "b"))
+            run_metrics(small_config(tmp_path), tmp_path / "ref")
 
 
 class TestReportTable:

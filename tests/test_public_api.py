@@ -3,8 +3,9 @@
 `__all__` lists are strings, so a name deleted from a module but left in its
 `__all__` only fails on `from module import *`. This walks every module of the
 package, and the package itself. It also checks that no module keeps an import
-or a private name that nothing in it uses, and that every file a command
-writes is opened in one place.
+or a private name that nothing in it uses, that every file a command
+writes is opened in one place, and that every metrics report is built in one
+place.
 """
 
 import ast
@@ -83,13 +84,25 @@ def test_no_unused_imports_or_private_names(path):
     assert [name for name in checked if name not in used] == []
 
 
-def _file_writes(path: Path):
-    """(module.function, call) for each call in a module that can create or change a file."""
+def _calls(path: Path):
+    """(scope, called name, call) for each call in a module; scope is module.function, or module.Class.method."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
         func = call.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        scope, node = [], parents[call]
+        while not isinstance(node, ast.Module):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope.insert(0, node.name)
+            node = parents[node]
+        yield ".".join([path.stem, *scope]), name, call
+
+
+def _file_writes(path: Path):
+    """(scope, call) for each call in a module that can create or change a file."""
+    for scope, name, call in _calls(path):
+        func = call.func
         if name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
             what = "os.open"
         elif name == "open":
@@ -103,13 +116,16 @@ def _file_writes(path: Path):
             what = name
         else:
             continue
-        scope = parents[call]
-        while not isinstance(scope, (ast.FunctionDef, ast.Module)):
-            scope = parents[scope]
-        yield f"{path.stem}.{getattr(scope, 'name', '<module>')}", what
+        yield scope, what
 
 
 def test_one_write_path():
     # every command writes through pipeline._write; netpbm.write_image is library API no command calls
     writes = {write for path in SOURCES for write in _file_writes(path)}
     assert writes == {("pipeline._write", "os.open"), ("netpbm.write_image", "write_bytes")}
+
+
+def test_one_report_path():
+    # run and metrics build their report in pipeline._report, and every PSNR is taken in PsnrResult.pooled
+    made = {(scope, name) for path in SOURCES for scope, name, _ in _calls(path) if name in ("MetricsReport", "log10")}
+    assert made == {("pipeline._report", "MetricsReport"), ("quality_metrics.PsnrResult.pooled", "log10")}

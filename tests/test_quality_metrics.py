@@ -111,9 +111,17 @@ class TestPsnr:
             assert value < last
             last = value
 
-    def test_from_mse_rejects_negative(self):
+    def test_pooled_rejects_a_negative_total_or_no_samples(self):
         with pytest.raises(ConfigurationError):
-            PsnrResult.from_mse(-1.0)
+            PsnrResult.pooled(-1, 4)
+        with pytest.raises(ConfigurationError):
+            PsnrResult.pooled(0, 0)
+
+    @given(st.integers(1, 65025 * 10**6), st.integers(1, 10**6))
+    def test_pooled_is_the_mse_formula(self, sse, samples):
+        result = PsnrResult.pooled(sse, samples)
+        assert result.mse == sse / samples
+        assert result.psnr_db == 10.0 * math.log10(255**2 / (sse / samples))
 
 
 class TestImprovement:
@@ -265,6 +273,6 @@ class TestSequencePooling:
         clean = enhance(PixelBuffer(np.full((4, 4), 7, dtype=np.uint8)))
         off = PixelBuffer(np.full((4, 4), 254, dtype=np.uint8))
         sse = squared_error_total(clean, clean) + squared_error_total(clean, off)
-        pooled = PsnrResult.from_mse(sse / 32)
+        pooled = PsnrResult.pooled(sse, 32)
         assert math.isfinite(pooled.psnr_db)
         assert pooled.mse == (16 * 1) / 32
