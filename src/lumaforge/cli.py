@@ -88,7 +88,7 @@ _OVERRIDES = (
 _FLAGS = {spec[0]: spec for spec in _COMMON + _OVERRIDES}
 
 # Each command takes only the flags of the config fields it reads; which fields
-# a stage reads is decided in pipeline.run_stage. A config file may still set
+# a stage reads is decided in pipeline._run_frames. A config file may still set
 # every field, since one config is shared by all commands.
 _STAGE_FLAGS = ("--config", "--seed", "--jobs", "--input-dir", "--output-dir", "--resize", "--sample-name")
 _COMMANDS = {

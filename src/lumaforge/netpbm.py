@@ -40,13 +40,13 @@ _HEADER_PROBE_BYTES = 512
 
 def encode_image(frame) -> bytes:
     """Serialize a PixelBuffer as binary PGM or a ColorBuffer as binary PPM."""
-    dims = frame.dims
     if isinstance(frame, PixelBuffer):
         magic = b"P5"
     elif isinstance(frame, ColorBuffer):
         magic = b"P6"
     else:
         raise IngestionError(f"cannot encode {type(frame).__name__} as a netpbm image")
+    dims = frame.dims
     header = magic + b"\n%d %d\n255\n" % (dims.cols, dims.rows)
     return header + frame.data.tobytes()
 

@@ -315,25 +315,22 @@ def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
     return out, noisy if cfg.psnr_reference == "noisy" else clean
 
 
-def _run_frames(
-    cfg: PipelineConfig,
-    jobs: int,
-    written: list[Path],
-    *,
-    native: bool = False,
-    enhance: bool = True,
-    score: bool = False,
-    infix: str = "enhanced",
-):
+_STAGE_INFIX = {"luma": "luma", "noise": "noisy", "filter": "filtered", "enhance": "enhanced"}
+
+
+def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str | None = None):
     """The one frame loop: ingest, then `jobs` workers compute frames and the calling thread writes them.
 
     Workers decode and process a frame and return its artifacts, with no I/O;
     the calling thread writes them in index order, each path into `written`,
     with at most jobs + _WAITING_FRAMES frames in flight (submitted, unwritten).
-    Frames take the paths of cfg.mode, or of the sequence's native kind when
-    `native` is set. Returns the sequence and, per frame in index order, one
-    (kind, frame path, squared error vs the PSNR reference or 0 unless
-    `score`, sample count) per path taken.
+    `stage` None is a full run: the paths of cfg.mode, enhanced and scored.
+    A stage name makes this the one place that decides what the stage runs:
+    `luma` takes the gray path and every other stage the sequence's native
+    kind; each keeps only its own noise or filter step, only `enhance`
+    enhances, and no stage is scored. Returns the sequence and, per frame in
+    index order, one (kind, frame path, squared error vs the PSNR reference
+    or 0 for a stage, sample count) per path taken.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -344,8 +341,18 @@ def _run_frames(
     out_dir = Path(cfg.output_dir)
     _make_dir(out_dir)
     pad = max(3, len(str(len(sequence.paths) - 1)))
-    mode = sequence.native_kind if native else cfg.mode
-    kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if mode in (kind, "both")]
+    if stage is not None:
+        # luma is the gray path with every step off; the other stages keep only
+        # their own step and follow the sequence's native kind
+        cfg = replace(
+            cfg,
+            mode="gray" if stage == "luma" else sequence.native_kind,
+            noise=cfg.noise if stage == "noise" else None,
+            filter=cfg.filter if stage == "filter" else None,
+        )
+    enhance, score = stage in (None, "enhance"), stage is None
+    infix = _STAGE_INFIX[stage or "enhance"]
+    kinds = [(kind, ext) for kind, ext in (("gray", "pgm"), ("color", "ppm")) if cfg.mode in (kind, "both")]
 
     def work(index: int):
         try:
@@ -364,7 +371,7 @@ def _run_frames(
                 artifacts.append((path, encode_image(out)))
                 outputs.append((kind, path, squared_error_total(out, reference) if score else 0, out.data.size))
         except Exception as exc:
-            raise PipelineStageError(f"frame {index}: {exc}") from exc
+            raise PipelineStageError(f"frame {index} ({sequence.paths[index].name}): {exc}") from exc
         return outputs, artifacts
 
     count, pending, frames = len(sequence.paths), deque(), []
@@ -390,7 +397,7 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     report.json last, removes this run's files and raises PipelineStageError.
     """
     with _removed_on_failure() as written:
-        sequence, frames = _run_frames(cfg, jobs, written, score=True)
+        sequence, frames = _run_frames(cfg, jobs, written)
         totals: dict[str, tuple[int, int]] = {}
         for kind, _, sse, samples in (output for outputs in frames for output in outputs):
             kind_sse, kind_samples = totals.get(kind, (0, 0))
@@ -400,35 +407,21 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     return report
 
 
-_STAGE_INFIX = {"luma": "luma", "noise": "noisy", "filter": "filtered", "enhance": "enhanced"}
-
-
 def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
     """Run a single stage over the input frames and write the results.
 
     Stages operate in the sequence's native kind (PGM sources stay grayscale,
     PPM sources stay color), except `luma`, which always writes
-    grayscale. `enhance` additionally writes pre/post histogram CSVs. Returns
-    the written frame paths in index order.
+    grayscale. `enhance` additionally writes pre/post histogram CSVs. Which
+    config fields a stage reads is decided in _run_frames, once the sequence
+    is ingested. Returns the written frame paths in index order.
     """
     if stage not in _STAGE_INFIX:
         raise ConfigurationError(f"unknown stage {stage!r}; expected one of {sorted(_STAGE_INFIX)}")
-    if stage == "noise" and cfg.noise is None:
-        raise ConfigurationError("the noise stage needs a noise spec in the config")
-    if stage == "filter" and cfg.filter is None:
-        raise ConfigurationError("the filter stage needs a filter spec in the config")
-    # luma is the gray path with every step off; the other stages keep only
-    # their own step and follow the sequence's native kind
-    steps = replace(
-        cfg,
-        mode="gray",
-        noise=cfg.noise if stage == "noise" else None,
-        filter=cfg.filter if stage == "filter" else None,
-    )
+    if stage in ("noise", "filter") and getattr(cfg, stage) is None:
+        raise ConfigurationError(f"the {stage} stage needs a {stage} spec in the config")
     with _removed_on_failure() as written:
-        _, frames = _run_frames(
-            steps, jobs, written, native=stage != "luma", enhance=stage == "enhance", infix=_STAGE_INFIX[stage]
-        )
+        _, frames = _run_frames(cfg, jobs, written, stage)
     return [path for outputs in frames for _, path, *_ in outputs]
 
 
@@ -441,6 +434,11 @@ def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
     result, reference = ingest_frames(cfg.input_dir), ingest_frames(reference_dir)
     if len(result.paths) != len(reference.paths):
         raise ConfigurationError(f"sequence length mismatch: {len(result.paths)} vs {len(reference.paths)}")
+    if result.dims != reference.dims:
+        raise ConfigurationError(
+            f"frame size mismatch: {cfg.input_dir} holds {result.dims.rows}x{result.dims.cols} frames, "
+            f"{reference_dir} holds {reference.dims.rows}x{reference.dims.cols}"
+        )
     sse = samples = 0
     for index in range(len(result.paths)):
         ours = result.load(index)

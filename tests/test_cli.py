@@ -1,6 +1,8 @@
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -308,7 +310,7 @@ class TestCommandFlags:
     @pytest.mark.parametrize("source", ["gray", "color"])
     @pytest.mark.parametrize("stage", ["luma", "noise", "filter", "enhance"])
     def test_a_field_the_stage_has_no_flag_for_changes_no_byte(self, tmp_path, stage, source):
-        # pipeline.run_stage decides what a stage reads; the command table must agree with it
+        # pipeline._run_frames decides what a stage reads; the command table must agree with it
         frames = tmp_path / "frames"
         if source == "gray":
             write_gray_sequence(frames, "clip", [block_texture(i, rows=12, cols=16) for i in range(3)])
@@ -399,6 +401,20 @@ class TestMetricsAndReport:
         assert payload["n_frames"] == 3
         assert payload["gray_psnr_db"] is not None
         assert report_path.exists()
+
+    def test_metrics_refuses_a_size_mismatch_before_decoding(self, tmp_path, capsys, monkeypatch):
+        write_gray_sequence(tmp_path / "a", "clip", [PixelBuffer(np.zeros((4, 4), dtype=np.uint8))])
+        write_gray_sequence(tmp_path / "b", "clip", [PixelBuffer(np.zeros((5, 5), dtype=np.uint8))])
+
+        def no_decode(sequence, index):
+            raise AssertionError("a frame was decoded")
+
+        monkeypatch.setattr(pipeline_module.FrameSequence, "load", no_decode)
+        code = main(["metrics", "--input-dir", str(tmp_path / "a"), "--reference-dir", str(tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: frame size mismatch: {tmp_path / 'a'} holds 4x4 frames, {tmp_path / 'b'} holds 5x5\n"
+        )
 
     def test_report_table_files(self, tmp_path, capsys):
         reports = []
@@ -542,6 +558,22 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["lumaforge", "lumaforge.cli"])
+    def test_exit_codes_reach_the_shell(self, tmp_path, sequence_dir, module):
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        for code, argv in [
+            (0, ["--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]),
+            (1, ["--no-such-flag"]),
+            (2, ["--input-dir", str(tmp_path / "missing"), "--output-dir", str(tmp_path / "out")]),
+            (3, ["--input-dir", str(sequence_dir), "--output-dir", str(taken)]),
+        ]:
+            done = subprocess.run([sys.executable, "-m", module, "luma", *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == code, (argv, done.stderr)
 
     def test_missing_required_field_is_1(self, capsys):
         assert main(["run"]) == 1

@@ -66,6 +66,15 @@ def test_file_round_trip_is_bit_exact(tmp_path):
         assert path.read_bytes() == encode_image(buf)
 
 
+def test_a_non_buffer_is_refused_by_kind(tmp_path):
+    array = np.zeros((2, 2), dtype=np.uint8)
+    with pytest.raises(IngestionError, match="cannot encode ndarray as a netpbm image"):
+        encode_image(array)
+    with pytest.raises(IngestionError, match="cannot encode ndarray as a netpbm image"):
+        write_image(array, tmp_path / "a.pgm")
+    assert not (tmp_path / "a.pgm").exists()
+
+
 def test_reader_tolerates_comments_and_whitespace():
     data = b"P5 # magic\n# a comment line\n  3\t2 # size\n255\n" + bytes(range(6))
     buf = decode_image(data)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import (
     block_texture,
     color_block_texture,
+    from_planes,
     planes,
     tree_digest,
     write_color_sequence,
@@ -256,6 +257,14 @@ class TestPipelineConfig:
         digests = {cfg.digest() for cfg in changed}
         assert base.digest() not in digests
         assert len(digests) == len(changed)
+
+    @pytest.mark.parametrize("key", ["input_dir", "output_dir"])
+    @pytest.mark.parametrize("name", ["a\0b", "\ud800"])
+    def test_a_path_the_os_cannot_take_is_refused(self, key, name):
+        # a NUL byte, or a lone high surrogate that no file name byte stands for
+        paths = {"input_dir": "i", "output_dir": "o", key: name}
+        with pytest.raises(ConfigurationError, match=f"{key} must encode as a path without NUL"):
+            PipelineConfig(**paths)
 
     def test_digest_hashes_the_canonical_json(self, tmp_path):
         # a path may hold a lone low surrogate, which stands for a file name byte that is not UTF-8
@@ -603,6 +612,57 @@ class TestRunStage:
         written = run_stage(small_config(tmp_path), "enhance")
         assert written[0].suffix == ".ppm"
         assert len(list((tmp_path / "out").glob("*_color_hist_*.csv"))) == 2
+
+    def test_a_mixed_sequence_runs_as_its_promoted_color_sequence(self, tmp_path):
+        # frames 0 and 2 are .pgm, frame 1 a .ppm; gray frames are promoted with R = G = B
+        frames = [block_texture(0, rows=10, cols=12), color_block_texture(1, rows=10, cols=12),
+                  block_texture(2, rows=10, cols=12)]
+        mixed, promoted = tmp_path / "mixed", tmp_path / "promoted"
+        mixed.mkdir()
+        for index, frame in enumerate(frames):
+            write_image(frame, mixed / f"clip_{index:03d}.{'ppm' if isinstance(frame, ColorBuffer) else 'pgm'}")
+        write_color_sequence(promoted, "clip", [
+            frame if isinstance(frame, ColorBuffer) else from_planes(frame, frame, frame) for frame in frames
+        ])
+        steps = dict(noise=NoiseSpec("salt_pepper", 0.2, 9), filter=FilterSpec("median"))
+
+        def stage_outputs(source, stage):
+            cfg = small_config(tmp_path, input_dir=source, output_dir=tmp_path / f"{source.name}_{stage}", **steps)
+            return [path.suffix for path in run_stage(cfg, stage)], tree_digest(cfg.output_dir)
+
+        for stage, ext in [("luma", ".pgm"), ("noise", ".ppm"), ("filter", ".ppm"), ("enhance", ".ppm")]:
+            (suffixes, tree), (_, promoted_tree) = stage_outputs(mixed, stage), stage_outputs(promoted, stage)
+            assert suffixes == [ext] * 3, stage
+            assert tree == promoted_tree, stage
+        assert read_image(tmp_path / "mixed_luma" / "clip_luma_000.pgm") == frames[0]
+
+        def run_outputs(source):
+            cfg = small_config(tmp_path, input_dir=source, output_dir=tmp_path / f"{source.name}_run", mode="both", **steps)
+            report = run_pipeline(cfg)
+            tree = tree_digest(cfg.output_dir)
+            # report.json differs with the config digest, which hashes input_dir and output_dir
+            del tree["report.json"]
+            return (report.gray_psnr_db, report.color_psnr_db), tree
+
+        (psnrs, tree), (promoted_psnrs, promoted_tree) = run_outputs(mixed), run_outputs(promoted)
+        frame_names = [f"clip_enhanced_{index:03d}.{ext}" for index in range(3) for ext in ("pgm", "ppm")]
+        assert sorted(name for name in tree if "_enhanced_" in name) == frame_names
+        assert psnrs == promoted_psnrs and tree == promoted_tree
+
+    def test_a_frame_error_names_the_source_file_once(self, tmp_path, gray_in, monkeypatch):
+        real = pipeline_module.read_image
+
+        def unreadable(path):
+            if path.name == "clip_001.pgm":
+                raise IngestionError(f"{path}: cannot read frame file: gone")
+            return real(path)
+
+        monkeypatch.setattr(pipeline_module, "read_image", unreadable)
+        with pytest.raises(PipelineStageError) as caught:
+            run_stage(small_config(tmp_path), "enhance")
+        path = tmp_path / "in" / "clip_001.pgm"
+        assert str(caught.value) == f"frame 1 (clip_001.pgm): {path}: cannot read frame file: gone"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_unknown_stage(self, tmp_path, gray_in):
         with pytest.raises(ConfigurationError, match="unknown stage"):

@@ -91,6 +91,11 @@ class TestPsnr:
         with pytest.raises(ConfigurationError):
             psnr(a, b)
 
+    def test_arrays_are_refused(self):
+        array = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(ConfigurationError, match="psnr expects frame buffers, got ndarray"):
+            psnr(array, array)
+
     def test_color_pools_all_channels(self):
         a = ColorBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
         arr = np.zeros((2, 2, 3), dtype=np.uint8)
