@@ -19,7 +19,6 @@ stage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -184,11 +183,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, default_output=".")
-    report = run_metrics(cfg, args.reference_dir)
-    print(json.dumps(report.to_json_dict(), indent=2))
+    data = run_metrics(cfg, args.reference_dir).to_json_bytes()
+    print(data.decode("ascii"), end="")
     if args.output:
         with _removed_on_failure() as written:
-            _write("report", [(Path(args.output), report.to_json_bytes())], written)
+            _write("report", [(Path(args.output), data)], written)
     return 0
 
 

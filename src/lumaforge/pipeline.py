@@ -328,9 +328,9 @@ def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str 
     A stage name makes this the one place that decides what the stage runs:
     `luma` takes the gray path and every other stage the sequence's native
     kind; each keeps only its own noise or filter step, only `enhance`
-    enhances, and no stage is scored. Returns the sequence and, per frame in
-    index order, one (kind, frame path, squared error vs the PSNR reference
-    or 0 for a stage, sample count) per path taken.
+    enhances, and no stage is scored. Returns the sequence, the frame paths in
+    index order, and per kind taken the (squared error vs the PSNR reference,
+    0 for a stage; sample count) total, pooled as each frame is written.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -374,18 +374,21 @@ def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str 
             raise PipelineStageError(f"frame {index} ({sequence.paths[index].name}): {exc}") from exc
         return outputs, artifacts
 
-    count, pending, frames = len(sequence.paths), deque(), []
+    count, pending, paths, totals = len(sequence.paths), deque(), [], {}
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:
-        while len(frames) < count:
-            while len(pending) < jobs + _WAITING_FRAMES and len(frames) + len(pending) < count:
-                pending.append(pool.submit(work, len(frames) + len(pending)))
+        for index in range(count):
+            while len(pending) < jobs + _WAITING_FRAMES and index + len(pending) < count:
+                pending.append(pool.submit(work, index + len(pending)))
             outputs, artifacts = pending.popleft().result()
-            _write(f"frame {len(frames)}", artifacts, written)
-            frames.append(outputs)
+            _write(f"frame {index}", artifacts, written)
+            for kind, path, sse, samples in outputs:
+                kind_sse, kind_samples = totals.get(kind, (0, 0))
+                totals[kind] = (kind_sse + sse, kind_samples + samples)
+                paths.append(path)
     finally:  # after a failure, frames not yet started never start
         pool.shutdown(cancel_futures=True)
-    return sequence, frames
+    return sequence, paths, totals
 
 
 def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
@@ -397,11 +400,7 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     report.json last, removes this run's files and raises PipelineStageError.
     """
     with _removed_on_failure() as written:
-        sequence, frames = _run_frames(cfg, jobs, written)
-        totals: dict[str, tuple[int, int]] = {}
-        for kind, _, sse, samples in (output for outputs in frames for output in outputs):
-            kind_sse, kind_samples = totals.get(kind, (0, 0))
-            totals[kind] = (kind_sse + sse, kind_samples + samples)
+        sequence, _, totals = _run_frames(cfg, jobs, written)
         report = _report(cfg, sequence, cfg.resize_to if cfg.resize_to is not None else sequence.dims, totals)
         _write("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())], written)
     return report
@@ -421,8 +420,7 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
     if stage in ("noise", "filter") and getattr(cfg, stage) is None:
         raise ConfigurationError(f"the {stage} stage needs a {stage} spec in the config")
     with _removed_on_failure() as written:
-        _, frames = _run_frames(cfg, jobs, written, stage)
-    return [path for outputs in frames for _, path, *_ in outputs]
+        return _run_frames(cfg, jobs, written, stage)[1]
 
 
 def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
@@ -433,7 +431,10 @@ def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
     """
     result, reference = ingest_frames(cfg.input_dir), ingest_frames(reference_dir)
     if len(result.paths) != len(reference.paths):
-        raise ConfigurationError(f"sequence length mismatch: {len(result.paths)} vs {len(reference.paths)}")
+        raise ConfigurationError(
+            f"sequence length mismatch: {cfg.input_dir} holds {len(result.paths)} frames, "
+            f"{reference_dir} holds {len(reference.paths)}"
+        )
     if result.dims != reference.dims:
         raise ConfigurationError(
             f"frame size mismatch: {cfg.input_dir} holds {result.dims.rows}x{result.dims.cols} frames, "

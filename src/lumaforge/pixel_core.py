@@ -144,12 +144,14 @@ class LumaWeights:
 BT601_WEIGHTS = LumaWeights(0.299, 0.587, 0.114)
 
 
-def rgb_to_luma(frame: ColorBuffer, weights: LumaWeights = BT601_WEIGHTS) -> PixelBuffer:
+def rgb_to_luma(frame: ColorBuffer | PixelBuffer, weights: LumaWeights = BT601_WEIGHTS) -> PixelBuffer:
     """Collapse RGB to intensity: round_half_up(red*R + green*G + blue*B).
 
-    Gray inputs (R = G = B) map to themselves exactly. The [0, 255] clamp is a
-    guard for weight sums a hair above 1; it never fires for valid weights.
+    Gray inputs (R = G = B) map to themselves exactly, and a PixelBuffer is returned as it is. The [0, 255]
+    clamp is a guard for weight sums a hair above 1; it never fires for valid weights.
     """
+    if isinstance(frame, PixelBuffer):
+        return frame
     rgb = frame.data
     # (red*R + green*G) + blue*B, each uint8 plane multiplied straight into float64
     y = np.multiply(rgb[..., 0], weights.red, dtype=np.float64)

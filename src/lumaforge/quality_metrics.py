@@ -63,11 +63,9 @@ class PsnrResult:
 
 
 def squared_error_total(a, b) -> int:
-    """Exact integer sum of squared sample differences between two buffers."""
-    if type(a) is not type(b):
-        raise ConfigurationError(
-            f"cannot compare {type(a).__name__} against {type(b).__name__}"
-        )
+    """Exact integer sum of squared sample differences of two frame buffers of one kind and shape, or raise."""
+    if type(a) is not type(b) or not isinstance(a, (PixelBuffer, ColorBuffer)):
+        raise ConfigurationError(f"need two frame buffers of one kind, got {type(a).__name__} and {type(b).__name__}")
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"dimension mismatch: {a.data.shape} vs {b.data.shape}")
     diff = np.subtract(a.data, b.data, dtype=np.int32)
@@ -76,12 +74,7 @@ def squared_error_total(a, b) -> int:
 
 
 def psnr(a, b) -> PsnrResult:
-    """PSNR between two frames of the same kind and dimensions.
-
-    For color frames the MSE pools all 3 * rows * cols channel samples.
-    """
-    if not isinstance(a, (PixelBuffer, ColorBuffer)):
-        raise ConfigurationError(f"psnr expects frame buffers, got {type(a).__name__}")
+    """PSNR of two frames that squared_error_total accepts; a color pair pools all 3 * rows * cols samples."""
     return PsnrResult.pooled(squared_error_total(a, b), a.data.size)
 
 
@@ -139,16 +132,14 @@ class MetricsReport:
         if all(db is not None and math.isfinite(db) for db in pair) and self.color_psnr_db != 0:
             self.improvement_pct = improvement_pct(*pair)
 
-    def to_json_dict(self) -> dict:
+    def to_json_bytes(self) -> bytes:
+        """The one rendering of a report, as run writes it and metrics prints it: ASCII JSON, "inf" for infinity."""
         data = asdict(self)  # field order is the report's key order
         data["frame_dims"] = [self.frame_dims.rows, self.frame_dims.cols]
         for key in _INF_FIELDS:
             if data[key] == math.inf:
                 data[key] = "inf"
-        return data
-
-    def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("ascii")
+        return (json.dumps(data, indent=2) + "\n").encode("ascii")
 
     @classmethod
     def load(cls, path) -> "MetricsReport":

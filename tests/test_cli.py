@@ -402,6 +402,22 @@ class TestMetricsAndReport:
         assert payload["gray_psnr_db"] is not None
         assert report_path.exists()
 
+    def test_metrics_prints_the_bytes_it_writes(self, tmp_path, sequence_dir, capsysbinary):
+        report_path = tmp_path / "metrics.json"
+        argv = ["metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir)]
+        assert main(argv + ["--output", str(report_path)]) == 0
+        assert capsysbinary.readouterr().out == report_path.read_bytes()
+
+    def test_metrics_names_both_sides_of_a_length_mismatch(self, tmp_path, capsys):
+        plane = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
+        write_gray_sequence(tmp_path / "a", "clip", [plane])
+        write_gray_sequence(tmp_path / "b", "clip", [plane, plane])
+        code = main(["metrics", "--input-dir", str(tmp_path / "a"), "--reference-dir", str(tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: sequence length mismatch: {tmp_path / 'a'} holds 1 frames, {tmp_path / 'b'} holds 2\n"
+        )
+
     def test_metrics_refuses_a_size_mismatch_before_decoding(self, tmp_path, capsys, monkeypatch):
         write_gray_sequence(tmp_path / "a", "clip", [PixelBuffer(np.zeros((4, 4), dtype=np.uint8))])
         write_gray_sequence(tmp_path / "b", "clip", [PixelBuffer(np.zeros((5, 5), dtype=np.uint8))])

@@ -10,7 +10,8 @@ four stage commands on both source kinds; a real resize; jobs 2; the
 
 Paths are relative to the working directory, because `report.json` carries a
 digest of the config and the config holds the input and output paths. For the
-same reason LUMAFORGE_SEED is cleared: the `metrics` command takes no --seed.
+same reason LUMAFORGE_SEED is cleared: the golden `metrics` cases pass no
+--seed, so the environment would set the seed in their digest.
 
 A case fails when any output byte of that case changes. When a change is
 meant to alter output bytes, regenerate the corpus and record the reason in

@@ -146,6 +146,12 @@ class TestRgbToLuma:
         frame = ColorBuffer(np.zeros((4, 7, 3), dtype=np.uint8))
         assert rgb_to_luma(frame).dims == Dimensions(4, 7)
 
+    def test_a_gray_frame_is_returned_as_it_is(self):
+        # a gray frame is already intensity; its columns are no channels to mix
+        frame = PixelBuffer(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        assert rgb_to_luma(frame, LumaWeights(1.0, 0.0, 0.0)) is frame
+        assert rgb_to_luma(frame).dims == Dimensions(3, 4)
+
 
 class TestResizeNearest:
     def test_downscale_picks_top_left(self):

@@ -4,8 +4,8 @@
 `__all__` only fails on `from module import *`. This walks every module of the
 package, and the package itself. It also checks that no module keeps an import
 or a private name that nothing in it uses, that every file a command
-writes is opened in one place, and that every metrics report is built in one
-place.
+writes is opened in one place, that every metrics report is built in one
+place, and that JSON is rendered only for a report and a config digest.
 """
 
 import ast
@@ -129,3 +129,12 @@ def test_one_report_path():
     # run and metrics build their report in pipeline._report, and every PSNR is taken in PsnrResult.pooled
     made = {(scope, name) for path in SOURCES for scope, name, _ in _calls(path) if name in ("MetricsReport", "log10")}
     assert made == {("pipeline._report", "MetricsReport"), ("quality_metrics.PsnrResult.pooled", "log10")}
+
+
+def test_one_json_rendering():
+    # a report is rendered only by MetricsReport.to_json_bytes, and a config only for its digest
+    dumps = {
+        scope for path in SOURCES for scope, name, call in _calls(path)
+        if name == "dumps" and isinstance(call.func, ast.Attribute) and getattr(call.func.value, "id", None) == "json"
+    }
+    assert dumps == {"quality_metrics.MetricsReport.to_json_bytes", "pipeline.PipelineConfig.digest"}

@@ -93,8 +93,15 @@ class TestPsnr:
 
     def test_arrays_are_refused(self):
         array = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(ConfigurationError, match="psnr expects frame buffers, got ndarray"):
+        with pytest.raises(ConfigurationError, match="need two frame buffers of one kind, got ndarray and ndarray"):
             psnr(array, array)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_squared_error_total_refuses_arrays(self, dtype):
+        # the pair check lives in squared_error_total alone, so arrays never reach the subtraction
+        zeros, threes = np.zeros((2, 2), dtype=dtype), np.full((2, 2), 3, dtype=dtype)
+        with pytest.raises(ConfigurationError, match="need two frame buffers of one kind, got ndarray and ndarray"):
+            quality_metrics.squared_error_total(zeros, threes)
 
     def test_color_pools_all_channels(self):
         a = ColorBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
