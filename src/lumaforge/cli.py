@@ -184,24 +184,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, default_output=".")
     data = run_metrics(cfg, args.reference_dir).to_json_bytes()
-    print(data.decode("ascii"), end="")
     if args.output:
         with _removed_on_failure() as written:
             _write("report", [(Path(args.output), data)], written)
+    print(data.decode("ascii"), end="")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     reports = [MetricsReport.load(path) for path in args.reports]
     csv_text, aligned = report_table(reports)
-    print(aligned, end="")
     if args.table_dir:
         table_dir = Path(args.table_dir)
         csv_path, txt_path = table_dir / "table.csv", table_dir / "table.txt"
         _make_dir(table_dir)
         with _removed_on_failure() as written:
             _write("tables", [(csv_path, csv_text.encode("utf-8")), (txt_path, aligned.encode("utf-8"))], written)
-        print(f"tables: {csv_path}, {txt_path}")
+        aligned += f"tables: {csv_path}, {txt_path}\n"
+    print(aligned, end="")
     return 0
 
 

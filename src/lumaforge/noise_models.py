@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .pixel_core import ColorBuffer, PixelBuffer, round_half_up
 from .rng import U64_MAX, derive_seed, site_hashes, site_uniforms
 
 NOISE_KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
+_BUILDING = threading.Lock()  # functools builds a missing table unlocked; a second worker waits here
 
 __all__ = ["NOISE_KINDS", "NoiseSpec", "apply_noise", "salt_pepper", "gaussian", "poisson", "speckle"]
 
@@ -183,7 +185,8 @@ def _guided_search(cut: np.ndarray, guide: np.ndarray, h: np.ndarray) -> np.ndar
 
 
 def _gaussian(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    cut, guide = _gaussian_tables(float(d))
+    with _BUILDING:
+        cut, guide = _gaussian_tables(float(d))
     out = _guided_search(cut, guide, site_hashes(seed, plane.size)).reshape(plane.shape)
     out += plane
     out -= 255
@@ -244,8 +247,9 @@ def _poisson_search(last: np.ndarray, guide: np.ndarray, lam: np.ndarray, h: np.
 
 
 def _poisson(plane: np.ndarray, d: float, seed: int) -> np.ndarray:
-    k = _poisson_search(*_poisson_tables(), plane.ravel(), site_hashes(seed, plane.size))
-    return k.reshape(plane.shape)
+    with _BUILDING:
+        tables = _poisson_tables()
+    return _poisson_search(*tables, plane.ravel(), site_hashes(seed, plane.size)).reshape(plane.shape)
 
 
 def _speckle(plane: np.ndarray, d: float, seed: int) -> np.ndarray:

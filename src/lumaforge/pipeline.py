@@ -21,7 +21,6 @@ function of (config, input bytes) alone, never of worker count or scheduling.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -30,6 +29,15 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+# hashlib starts OpenSSL, 3.6 MB of resident memory, for one 400-byte digest per run; the interpreter's
+# own SHA-256 is the fallback hashlib itself uses, the same function, so every digest stays the same
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # a build without built-in hashes
+        from hashlib import sha256
 
 from ._declared import build
 from .errors import ConfigurationError, IngestionError, PipelineStageError
@@ -174,15 +182,15 @@ class PipelineConfig:
         return mapping
 
     def digest(self) -> str:
-        """sha256 over the canonical JSON form; changes iff any field changes.
+        """SHA-256 over the canonical JSON form; changes iff any field changes.
 
-        The JSON keeps non-ASCII characters, lone surrogates included, as they
-        are and encodes them as UTF-8 with surrogatepass, so no two strings
-        share bytes; an ASCII escape would give a surrogate pair and the
-        character it stands for one form.
+        The JSON keeps non-ASCII characters, lone surrogates included, as they are and encodes them as
+        UTF-8 with surrogatepass, so no two strings share bytes; an ASCII escape would give a surrogate
+        pair and the character it stands for one form. The hash is the interpreter's built-in SHA-256,
+        hashlib's only on a build without one, so no command loads OpenSSL; the bytes are the same.
         """
         canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
+        return sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = ["FilterWindow", "median_filter", "hybrid_median_filter"]
 
 # largest window side: past 31x31 (n = 961) a cached plan takes seconds and tens of MB
 MAX_WINDOW_SIDE = 31
+_BUILDING = threading.Lock()  # functools builds a missing plan unlocked; a second worker waits here
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ def _select(views, rank: int) -> np.ndarray:
     Each plane is dropped after its last use, so about len(views)
     intermediate planes are alive at once.
     """
-    steps, out = _plan(len(views), rank)
+    with _BUILDING:
+        steps, out = _plan(len(views), rank)
     planes = dict(enumerate(views))
     for op, a, b, made, dead in steps:
         planes[made] = op(planes[a], planes[b])

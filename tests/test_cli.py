@@ -408,6 +408,31 @@ class TestMetricsAndReport:
         assert main(argv + ["--output", str(report_path)]) == 0
         assert capsysbinary.readouterr().out == report_path.read_bytes()
 
+    def test_no_command_loads_openssl(self, tmp_path, sequence_dir):
+        # the config digest takes the interpreter's own SHA-256; hashlib would start OpenSSL in every command
+        out, enhanced = tmp_path / "out", tmp_path / "enh"
+        commands = [
+            ["run", "--input-dir", str(sequence_dir), "--output-dir", str(out)],
+            ["enhance", "--input-dir", str(sequence_dir), "--output-dir", str(enhanced), "--resize", "none"],
+            ["metrics", "--input-dir", str(enhanced), "--reference-dir", str(sequence_dir),
+             "--output", str(tmp_path / "m.json")],
+            ["report", str(out / "report.json"), "--output-dir", str(tmp_path / "tables")],
+        ]
+        child = (
+            "import json, sys, numpy\n"
+            "def openssl(): return [name for name in ('_hashlib', '_ssl') if name in sys.modules]\n"
+            "before = openssl()\n"
+            "from lumaforge.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, before, openssl()]))\n"
+        )
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120, check=True)
+        codes, before, after = json.loads(done.stdout.splitlines()[-1])
+        # the modules are loaded afterwards only if importing numpy alone had loaded them
+        assert codes == [0, 0, 0, 0] and after == before
+
     def test_metrics_names_both_sides_of_a_length_mismatch(self, tmp_path, capsys):
         plane = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
         write_gray_sequence(tmp_path / "a", "clip", [plane])
@@ -554,11 +579,13 @@ class TestMetricsAndReport:
 
 
 def assert_one_pipeline_error(code, capsys, path):
-    """Exit 3 with one stderr line, a pipeline error naming `path`."""
+    """Exit 3 with one stderr line, a pipeline error naming `path`; returns what the command printed."""
     assert code == 3
-    err_lines = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
     assert len(err_lines) == 1
     assert err_lines[0].startswith("pipeline error: ") and str(path) in err_lines[0]
+    return captured.out
 
 
 _ODD_STEMS = ["clip\tx", "bell\x07", "ls\u2028", "two\nlines", "back\\slash", "."]
@@ -694,7 +721,7 @@ class TestExitCodes:
             "metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
             "--output", str(target),
         ])
-        assert_one_pipeline_error(code, capsys, target)
+        assert assert_one_pipeline_error(code, capsys, target) == ""
         assert not (tmp_path / "missing").exists()
 
     def test_a_report_output_dir_that_is_a_file_is_3(self, tmp_path, sequence_dir, capsys):
@@ -712,7 +739,7 @@ class TestExitCodes:
         blocker = tables / "table.txt"
         blocker.mkdir(parents=True)
         code = main(["report", str(path), "--output-dir", str(tables)])
-        assert_one_pipeline_error(code, capsys, blocker)
+        assert assert_one_pipeline_error(code, capsys, blocker) == ""
         assert list(tables.iterdir()) == [blocker]
 
     def test_no_subcommand_prints_help(self, capsys):

@@ -27,7 +27,7 @@ from conftest import (
 )
 
 import lumaforge.pipeline as pipeline_module
-from lumaforge import _declared
+from lumaforge import _declared, noise_models, smoothing_filters
 from lumaforge import (
     FILTER_KINDS,
     NOISE_KINDS,
@@ -273,6 +273,9 @@ class TestPipelineConfig:
         # an ASCII config hashes the same bytes as its ASCII-escaped JSON
         ascii_json = json.dumps(small_config(tmp_path).to_mapping(), sort_keys=True, separators=(",", ":"))
         assert small_config(tmp_path).digest() == hashlib.sha256(ascii_json.encode("ascii")).hexdigest()
+        # and any config hashes its UTF-8 JSON as hashlib's sha256 does
+        raw_json = json.dumps(undecodable.to_mapping(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert undecodable.digest() == hashlib.sha256(raw_json.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class TestIngest:
@@ -403,6 +406,32 @@ class TestRunPipeline:
         assert many.pop("report.json") and one.pop("report.json")
         assert many == one and len(many) == 40 * 3
         assert list((tmp_path / "bad").iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("module, cached, helper, setting", [
+        (noise_models, "_gaussian_tables", "_top_cuts", {"noise": NoiseSpec("gaussian", 0.01, 7)}),
+        (noise_models, "_poisson_tables", "_top_cuts", {"noise": NoiseSpec("poisson", 0.0, 7)}),
+        (smoothing_filters, "_plan", "_batcher_pairs", {"filter": FilterSpec("median", FilterWindow(5, 5))}),
+    ], ids=["gaussian_tables", "poisson_tables", "plan"])
+    def test_a_shared_table_is_built_once_at_jobs_2(self, tmp_path, monkeypatch, module, cached, helper, setting):
+        # the first build stalls in a helper it calls, so the second worker asks for the value meanwhile
+        real, stalls = getattr(module, helper), []
+
+        def slowed(*args):
+            if not stalls:
+                stalls.append(helper)
+                time.sleep(0.5)
+            return real(*args)
+
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=8, cols=8) for i in range(4)])
+        monkeypatch.setattr(module, helper, slowed)
+        build = getattr(module, cached)
+        build.cache_clear()
+        try:
+            run_pipeline(small_config(tmp_path, **setting), jobs=2)
+            assert stalls == [helper]
+            assert build.cache_info().misses == 1
+        finally:
+            build.cache_clear()  # drop the values built while patched
 
     def test_inputs_never_mutated(self, tmp_path):
         frames = [block_texture(i, rows=8, cols=8) for i in range(3)]

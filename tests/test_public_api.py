@@ -5,7 +5,8 @@
 package, and the package itself. It also checks that no module keeps an import
 or a private name that nothing in it uses, that every file a command
 writes is opened in one place, that every metrics report is built in one
-place, and that JSON is rendered only for a report and a config digest.
+place, that JSON is rendered only for a report and a config digest, and that
+the config digest is the one hash, taken without OpenSSL.
 """
 
 import ast
@@ -138,3 +139,25 @@ def test_one_json_rendering():
         if name == "dumps" and isinstance(call.func, ast.Attribute) and getattr(call.func.value, "id", None) == "json"
     }
     assert dumps == {"quality_metrics.MetricsReport.to_json_bytes", "pipeline.PipelineConfig.digest"}
+
+
+def test_one_hash():
+    # the config digest is the one hash. hashlib and ssl start OpenSSL, so each is imported only as the
+    # fallback for a build without the interpreter's own SHA-256; a hash over frame bytes, where OpenSSL
+    # is several times faster, is to be chosen on purpose
+    hashes = {scope for path in SOURCES for scope, name, _ in _calls(path) if name == "sha256"}
+    assert hashes == {"pipeline.PipelineConfig.digest"}
+    openssl = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if {module.split(".")[0] for module in modules} & {"hashlib", "_hashlib", "ssl", "_ssl"}:
+                openssl.add((path.stem, type(parents[node]).__name__, *modules))
+    assert openssl == {("pipeline", "ExceptHandler", "hashlib")}
