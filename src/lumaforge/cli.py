@@ -65,10 +65,10 @@ def _number_list(sep: str, convert):
 # flag, dest, type, choices, help; an override's dest is its config key ("section.field" inside noise or filter)
 _COMMON = (
     ("--config", "config", str, None, "JSON config file"),
-    ("--seed", "seed", int, None, "base 64-bit seed"),
     ("--jobs", "jobs", int, None, "worker count (default 1)"),
 )
 _OVERRIDES = (
+    ("--seed", "seed", int, None, "base 64-bit seed"),
     ("--input-dir", "input_dir", str, None, "frame directory"),
     ("--output-dir", "output_dir", str, None, "artifact directory"),
     ("--resize", "resize_to", _number_list("x", int), None, "ROWSxCOLS target, or 'none' to disable"),
@@ -151,9 +151,7 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
             base = mapping.get(section) or {}
             mapping[section] = {**base, field: flags[key]} if isinstance(base, dict) else base
 
-    if hasattr(args, "seed"):
-        mapping["seed"] = args.seed
-    elif "seed" not in mapping and SEED_ENV_VAR in os.environ:
+    if "seed" not in mapping and SEED_ENV_VAR in os.environ:
         raw = os.environ[SEED_ENV_VAR]
         try:
             mapping["seed"] = int(raw)

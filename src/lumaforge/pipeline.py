@@ -1,18 +1,18 @@
 """Batch orchestration over directories of numbered netpbm frames.
 
 A run checks the headers of a frame sequence, then a pool of workers decodes
-and processes one frame at a time while the calling thread writes each
-frame's finished bytes in index order, with at most `jobs` + 2 frames in
-flight; memory grows with the worker count, not with the sequence length.
-Each frame is optionally resized, then takes the grayscale path (its
-luminance plane), the color path (the RGB frame itself), or both. Each path
+and processes one frame at a time while the calling thread writes each frame's
+finished bytes in index order, with at most `jobs` + 2 frames in flight; memory
+grows with the worker count, not with the sequence length. Each frame, in the
+kind its file holds, is optionally resized, then takes the grayscale path (its
+luminance plane), the color path (RGB, gray as R = G = B), or both. Each path
 runs the same steps: optional noise injection, optional median/hybrid-median
 smoothing, brightness equalization, and pooled PSNR of the result against the
 clean pre-noise reference. Artifacts per run: one enhanced frame per input
 frame and path, pre/post-enhancement histogram CSVs, and a single metrics
 report JSON. A single-stage run (run_stage) is the same frame loop with the
-other steps switched off and no PSNR or report. run_metrics reports the
-pooled PSNR of a directory against a reference, through run_pipeline's builder.
+other steps switched off and no PSNR or report. run_metrics reports the pooled
+PSNR of a directory against a reference, through run_pipeline's builder.
 
 Per-frame work is pure and seeded by frame index, so every output byte is a
 function of (config, input bytes) alone, never of worker count or scheduling.
@@ -206,9 +206,8 @@ class FrameSequence:
     """An ordered, uniformly-sized frame sequence in one directory.
 
     Ingestion keeps only the file paths and the shared dims; load(index)
-    decodes one frame. Grayscale sources are promoted to color with
-    R = G = B (lossless: the luminance of a promoted frame is the original
-    plane). native_kind records whether any source file was a .ppm.
+    decodes one frame in the kind its file holds, a PixelBuffer for a .pgm and
+    a ColorBuffer for a .ppm. native_kind records whether any file was a .ppm.
     """
 
     name: str
@@ -216,12 +215,10 @@ class FrameSequence:
     dims: Dimensions
     native_kind: str = "color"
 
-    def load(self, index: int) -> ColorBuffer:
+    def load(self, index: int) -> PixelBuffer | ColorBuffer:
         image = read_image(self.paths[index])
         if image.dims != self.dims:
             raise IngestionError(f"{self.paths[index].name}: frame dims changed since ingestion")
-        if isinstance(image, PixelBuffer):
-            image = ColorBuffer._adopt(image.data[..., None].repeat(3, axis=2))
         return image
 
 
@@ -247,10 +244,9 @@ def ingest_frames(directory) -> FrameSequence:
             f"ambiguous sequence in {directory}: multiple stems {sorted(stems)}"
         )
     entries.sort(key=lambda e: e[0])
-    indices = [idx for idx, _, _, _ in entries]
-    if len(set(indices)) != len(indices):
-        dup = next(i for n, i in enumerate(indices[1:], 1) if i == indices[n - 1])
-        raise IngestionError(f"duplicate frame index {dup} in {directory}")
+    for (index, *_), (next_index, *_) in zip(entries, entries[1:]):
+        if index == next_index:
+            raise IngestionError(f"duplicate frame index {index} in {directory}")
 
     paths = [path for _, _, _, path in entries]
     dims = read_dims(paths[0])
@@ -285,7 +281,7 @@ def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) 
             finally:
                 os.close(fd)
         except OSError as exc:
-            raise PipelineStageError(f"{what}: {exc}") from exc
+            raise PipelineStageError(f"{what}: cannot write: {exc}") from exc
 
 
 def _make_dir(directory: Path) -> None:
@@ -309,9 +305,14 @@ def _removed_on_failure():
         raise
 
 
-def _path(cfg: PipelineConfig, frame: ColorBuffer, index: int, kind: str):
-    """Luma (gray path only), noise, filter; returns (output, PSNR reference)."""
-    clean = rgb_to_luma(frame, cfg.luma_weights) if kind == "gray" else frame
+def _promoted(frame: PixelBuffer | ColorBuffer) -> ColorBuffer:
+    """The one place a gray frame becomes color: R = G = B, whose luminance is the plane itself; color passes as is."""
+    return ColorBuffer._adopt(frame.data[..., None].repeat(3, axis=2)) if isinstance(frame, PixelBuffer) else frame
+
+
+def _path(cfg: PipelineConfig, frame: PixelBuffer | ColorBuffer, index: int, kind: str):
+    """Luma (gray path) or promotion (color path), then noise and filter; returns (output, PSNR reference)."""
+    clean = rgb_to_luma(frame, cfg.luma_weights) if kind == "gray" else _promoted(frame)
     noisy = out = clean
     if cfg.noise:
         # gray draws from stream slot 0; apply_noise gives color channel c slot c + 1
@@ -434,8 +435,8 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
 def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
     """Pooled PSNR of the frames in cfg.input_dir against those in reference_dir; writes nothing.
 
-    Frames are compared one pair at a time, both promoted to color. The PSNR
-    is reported as color if either sequence holds a .ppm, else as gray.
+    Frames are compared one pair at a time: both promoted and reported as color if either sequence holds a
+    .ppm, else as the gray planes they are stored as.
     """
     result, reference = ingest_frames(cfg.input_dir), ingest_frames(reference_dir)
     if len(result.paths) != len(reference.paths):
@@ -448,12 +449,13 @@ def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
             f"frame size mismatch: {cfg.input_dir} holds {result.dims.rows}x{result.dims.cols} frames, "
             f"{reference_dir} holds {reference.dims.rows}x{reference.dims.cols}"
         )
+    kind = "color" if "color" in (result.native_kind, reference.native_kind) else "gray"
     sse = samples = 0
     for index in range(len(result.paths)):
-        ours = result.load(index)
-        sse += squared_error_total(ours, reference.load(index))
+        pair = result.load(index), reference.load(index)
+        ours, theirs = map(_promoted, pair) if kind == "color" else pair
+        sse += squared_error_total(ours, theirs)
         samples += ours.data.size
-    kind = "color" if "color" in (result.native_kind, reference.native_kind) else "gray"
     return _report(cfg, result, result.dims, {kind: (sse, samples)})
 
 
@@ -472,7 +474,7 @@ def _report(cfg: PipelineConfig, sequence: FrameSequence, dims: Dimensions, tota
 
 
 def _format_db(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.2f}"  # an infinite PSNR formats as "inf"
+    return "n/a" if value is None else f"{value:.2f}"  # an infinite value formats as "inf"
 
 
 def _csv_cell(text: str) -> str:
@@ -491,7 +493,6 @@ def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
     header = ["sample", "size", "frames", "gray_psnr_db", "color_psnr_db", "improvement_pct"]
     rows = [header]
     for report in reports:
-        improvement = report.improvement_pct
         rows.append(
             [
                 report.sample_name,
@@ -499,7 +500,7 @@ def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
                 str(report.n_frames),
                 _format_db(report.gray_psnr_db),
                 _format_db(report.color_psnr_db),
-                f"{improvement:.2f}" if improvement is not None else "n/a",
+                _format_db(report.improvement_pct),
             ]
         )
     csv_text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)

@@ -15,6 +15,7 @@ import pytest
 from conftest import block_texture, color_block_texture
 
 import lumaforge
+from lumaforge import pipeline
 from lumaforge import (
     NOISE_KINDS,
     ColorBuffer,
@@ -81,10 +82,12 @@ def test_read_and_promoted_frames_are_read_only(tmp_path):
         with pytest.raises(ValueError, match="read-only"):
             read_image(path).data[0, 0] = 1
     (tmp_path / "rgb_000.ppm").unlink()
-    promoted = ingest_frames(tmp_path).load(0)
-    assert isinstance(promoted, ColorBuffer)
-    with pytest.raises(ValueError, match="read-only"):
-        promoted.data[0, 0, 0] = 1
+    loaded = ingest_frames(tmp_path).load(0)
+    promoted = pipeline._promoted(loaded)
+    assert isinstance(loaded, PixelBuffer) and isinstance(promoted, ColorBuffer)
+    for frame in (loaded, promoted):
+        with pytest.raises(ValueError, match="read-only"):
+            frame.data[0, 0] = 1
 
 
 @pytest.mark.parametrize("arr", gray_and_color(), ids=["gray", "color"])

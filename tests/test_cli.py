@@ -157,8 +157,7 @@ class TestOverrideTable:
 
     def test_every_config_field_has_one_flag(self):
         sections = {"noise": NoiseSpec, "filter": FilterSpec}
-        # the top-level seed has --seed, a common flag of every subcommand
-        expected = [f.name for f in fields(PipelineConfig) if f.name not in ("seed", *sections)]
+        expected = [f.name for f in fields(PipelineConfig) if f.name not in sections]
         expected += [f"{name}.{f.name}" for name, spec in sections.items() for f in fields(spec)]
         keys = [key for _, key, *_ in cli_module._OVERRIDES]
         assert sorted(keys) == sorted(expected)
@@ -683,6 +682,19 @@ class TestExitCodes:
             "--output-dir", str(tmp_path / "out"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("what, blocked", [
+        ("frame 2", "out/clip_enhanced_002.pgm"), ("report", "out/report.json"), ("tables", "tables/table.txt"),
+    ])
+    def test_a_failed_write_says_that_the_write_failed(self, tmp_path, sequence_dir, capsys, what, blocked):
+        blocker = tmp_path / blocked
+        blocker.mkdir(parents=True)
+        argv = ["run", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]
+        if what == "tables":
+            (tmp_path / "r.json").write_text(json.dumps(_REPORT))
+            argv = ["report", str(tmp_path / "r.json"), "--output-dir", str(tmp_path / "tables")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"pipeline error: {what}: cannot write: [Errno 21] Is a directory: '{blocker}'\n"
 
     def test_a_directory_in_an_artifact_path_fails_the_run_cleanly(self, tmp_path, sequence_dir, capsys):
         out = tmp_path / "out"

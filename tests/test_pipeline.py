@@ -288,19 +288,24 @@ class TestIngest:
                 d / f"clip_{index}.pgm",
             )
         seq = ingest_frames(d)
-        assert [int(seq.load(i).data[0, 0, 0]) for i in range(3)] == [0, 20, 100]
+        assert [int(seq.load(i).data[0, 0]) for i in range(3)] == [0, 20, 100]
         assert [p.name for p in seq.paths] == ["clip_0.pgm", "clip_2.pgm", "clip_10.pgm"]
         assert seq.name == "clip"
 
     def test_promotes_gray_to_color(self, tmp_path):
+        # load keeps the stored kind; the color path promotes a gray plane with R = G = B
+        plane = PixelBuffer(np.full((3, 4), 9, dtype=np.uint8))
         d = tmp_path / "seq"
-        write_gray_sequence(d, "clip", [PixelBuffer(np.full((3, 4), 9, dtype=np.uint8))])
+        write_gray_sequence(d, "clip", [plane])
         seq = ingest_frames(d)
         assert seq.native_kind == "gray"
         frame = seq.load(0)
-        assert isinstance(frame, ColorBuffer)
-        r, g, b = planes(frame)
-        assert r == g == b
+        assert frame == plane
+        promoted = pipeline_module._promoted(frame)
+        assert isinstance(promoted, ColorBuffer)
+        r, g, b = planes(promoted)
+        assert r == g == b == plane
+        assert pipeline_module._promoted(promoted) is promoted
 
     def test_rejects_mixed_dims_naming_offender(self, tmp_path):
         d = tmp_path / "seq"
@@ -750,6 +755,49 @@ class TestStreaming:
         assert peaks_kib[1] - peaks_kib[0] < 4 * 1024, peaks_kib
 
 
+def recorded(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's positional arguments are recorded; returns the record."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # a function set on a class is called through the class, as _adopt is
+    monkeypatch.setattr(owner, name, staticmethod(wrapper) if isinstance(owner, type) else wrapper)
+    return calls
+
+
+class TestGraySourcesStayGray:
+    """A PGM source reaches its gray plane as it is stored; only a color path promotes it."""
+
+    STEPS = dict(noise=NoiseSpec("salt_pepper", 0.2, 9), filter=FilterSpec("median"), resize_to=Dimensions(8, 6))
+
+    @pytest.fixture()
+    def gray_in(self, tmp_path):
+        write_gray_sequence(tmp_path / "in", "clip", [block_texture(i, rows=10, cols=12) for i in range(3)])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_gray_run_and_the_luma_stage_never_promote(self, tmp_path, gray_in, monkeypatch, jobs):
+        promoted = recorded(monkeypatch, ColorBuffer, "_adopt")
+        run_pipeline(small_config(tmp_path, **self.STEPS), jobs=jobs)
+        run_stage(small_config(tmp_path, output_dir=tmp_path / "luma", **self.STEPS), "luma", jobs=jobs)
+        assert promoted == []
+
+    @pytest.mark.parametrize("mode", ["gray", "both"])
+    def test_the_gray_path_takes_the_stored_plane(self, tmp_path, gray_in, monkeypatch, mode):
+        calls = recorded(monkeypatch, pipeline_module, "rgb_to_luma")
+        report = run_pipeline(small_config(tmp_path, mode=mode, **self.STEPS))
+        assert len(calls) == 3 and all(type(frame) is PixelBuffer for frame, _ in calls)
+        assert (report.color_psnr_db is None) == (mode == "gray")
+
+    def test_metrics_on_two_gray_sequences_compares_planes(self, tmp_path, gray_in, monkeypatch):
+        pairs = recorded(monkeypatch, pipeline_module, "squared_error_total")
+        report = run_metrics(small_config(tmp_path), tmp_path / "in")
+        assert len(pairs) == 3 and all(frame.data.ndim == 2 for pair in pairs for frame in pair)
+        assert report.gray_psnr_db == math.inf and report.color_psnr_db is None
+
+
 class TestRunMetrics:
     def test_pools_over_frames(self, tmp_path):
         plane_a = PixelBuffer(np.zeros((2, 2), dtype=np.uint8))
@@ -757,7 +805,7 @@ class TestRunMetrics:
         write_gray_sequence(tmp_path / "in", "clip", [plane_a, plane_a])
         write_gray_sequence(tmp_path / "ref", "clip", [plane_a, plane_b])
         report = run_metrics(small_config(tmp_path, size_label="tiny"), tmp_path / "ref")
-        # 12 of 24 promoted samples differ by 1: mse = 0.5
+        # 4 of the 8 gray samples differ by 1: mse = 0.5
         assert report.gray_psnr_db == 10 * math.log10(255**2 / 0.5)
         assert report.color_psnr_db is None and report.improvement_pct is None
         assert (report.sample_name, report.n_frames, report.frame_dims) == ("clip", 2, Dimensions(2, 2))

@@ -5,8 +5,9 @@
 package, and the package itself. It also checks that no module keeps an import
 or a private name that nothing in it uses, that every file a command
 writes is opened in one place, that every metrics report is built in one
-place, that JSON is rendered only for a report and a config digest, and that
-the config digest is the one hash, taken without OpenSSL.
+place, that JSON is rendered only for a report and a config digest, that
+the config digest is the one hash, taken without OpenSSL, and that a gray
+frame is promoted to color in one place.
 """
 
 import ast
@@ -130,6 +131,16 @@ def test_one_report_path():
     # run and metrics build their report in pipeline._report, and every PSNR is taken in PsnrResult.pooled
     made = {(scope, name) for path in SOURCES for scope, name, _ in _calls(path) if name in ("MetricsReport", "log10")}
     assert made == {("pipeline._report", "MetricsReport"), ("quality_metrics.PsnrResult.pooled", "log10")}
+
+
+def test_one_promotion():
+    # a frame keeps the kind it is stored in; a gray one becomes color only where a color path starts
+    promotions = {
+        scope for path in SOURCES for scope, name, call in _calls(path)
+        if name == "_adopt" and isinstance(call.func, ast.Attribute)
+        and getattr(call.func.value, "id", None) == "ColorBuffer"
+    }
+    assert promotions == {"pipeline._promoted"}
 
 
 def test_one_json_rendering():
