@@ -7,10 +7,10 @@ flags it reads, after its name. The stage flags are --config --seed --jobs
 --input-dir --output-dir --resize --sample-name; luma adds --luma-weights,
 noise adds --noise-kind --noise-d --noise-seed, filter adds --filter-kind
 --window, and enhance adds --sigma. run takes all of these and --mode
---psnr-reference --size-label; metrics takes run's flags but --jobs, and
---reference-dir --output; report takes report files and --output-dir. A
---config file may set every field for every command; flag > config file >
-LUMAFORGE_SEED (for the seed) > built-in default.
+--psnr-reference --size-label; metrics takes --config --input-dir
+--sample-name --size-label --reference-dir --output; report takes report
+files and --output-dir. A --config file may set every field for every
+command; flag > config file > LUMAFORGE_SEED (for the seed) > built-in default.
 
 Exit codes: 0 success, 1 usage/config error, 2 ingestion error, 3 pipeline
 stage error.
@@ -81,14 +81,14 @@ _OVERRIDES = (
     ("--sigma", "sigma", float, None, "equalization weight (default 0)"),
     ("--mode", "mode", str, MODES, "processing path"),
     ("--psnr-reference", "psnr_reference", str, PSNR_REFERENCES, "frame PSNR is measured against"),
-    ("--sample-name", "sample_name", str, None, "prefix of every artifact name, and the report's sample name"),
+    ("--sample-name", "sample_name", str, None, "prefix of each frame and CSV written, and a report's sample name"),
     ("--size-label", "size_label", str, None, "source size metadata"),
 )
 _FLAGS = {spec[0]: spec for spec in _COMMON + _OVERRIDES}
 
-# Each command takes only the flags of the config fields it reads; which fields
-# a stage reads is decided in pipeline._run_frames. A config file may still set
-# every field, since one config is shared by all commands.
+# Each command takes only the flags of the config fields it reads: pipeline._run_frames decides those of a
+# stage, and pipeline.run_metrics reads input_dir, sample_name and size_label. A config file may still set
+# every field, since one config is shared by all commands, and every field reaches a report's digest.
 _STAGE_FLAGS = ("--config", "--seed", "--jobs", "--input-dir", "--output-dir", "--resize", "--sample-name")
 _COMMANDS = {
     "luma": ("convert frames to grayscale luminance", (*_STAGE_FLAGS, "--luma-weights")),
@@ -96,8 +96,8 @@ _COMMANDS = {
     "filter": ("apply the configured smoothing filter", (*_STAGE_FLAGS, "--filter-kind", "--window")),
     "enhance": ("equalize frame brightness (also writes histograms)", (*_STAGE_FLAGS, "--sigma")),
     "run": ("run the full pipeline and write a metrics report", tuple(_FLAGS)),
-    # every field reaches the report's pipeline_config_digest; frames are read on the calling thread
-    "metrics": ("pooled PSNR of input frames vs a reference directory", tuple(f for f in _FLAGS if f != "--jobs")),
+    "metrics": ("pooled PSNR of input frames vs a reference directory",  # frames are read on the calling thread
+                ("--config", "--input-dir", "--sample-name", "--size-label")),
 }
 
 

@@ -81,9 +81,10 @@ def level_map(hist: Histogram, sigma: float = 0.0) -> np.ndarray:
     running sum of mass[0..l] plus a constant weight sigma per level. The
     default sigma = 0 is a plain cumulative histogram, so the table is
     nondecreasing and its top entry is 255; nonzero values are exposed for
-    experimentation and suspend those guarantees.
+    experimentation and suspend those guarantees. A huge sigma saturates.
     """
-    scaled = round_half_up(np.cumsum(hist.mass + sigma) * (N_LEVELS - 1))
+    with np.errstate(over="ignore"):  # a huge sigma's sum overflows to +-inf, which clamps as the exact sum would
+        scaled = round_half_up(np.cumsum(hist.mass + sigma) * (N_LEVELS - 1))
     return np.clip(scaled, 0, N_LEVELS - 1).astype(np.uint8)
 
 

@@ -18,7 +18,6 @@ import functools
 import math
 import numbers
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ __all__ = ["NOISE_KINDS", "NoiseSpec", "apply_noise", "salt_pepper", "gaussian",
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise selector: kind, level d (meaning depends on kind), stream seed."""
+    """Noise selector: kind, level d (meaning depends on kind; poisson takes none, so its d must be 0), stream seed."""
 
     kind: str
     d: float = 0.0
@@ -61,22 +60,22 @@ class NoiseSpec:
             raise ConfigurationError(f"salt_pepper density must lie in [0, 1], got {self.d}")
         if self.kind in ("gaussian", "speckle") and self.d < 0:
             raise ConfigurationError(f"{self.kind} variance must be nonnegative, got {self.d}")
-        # poisson: d is recorded but unused; apply_noise warns when it is nonzero
+        if self.kind == "poisson" and self.d != 0:
+            raise ConfigurationError(f"poisson noise is signal-dependent and takes no level d, got {self.d}")
+        if self.kind == "speckle" and not math.isfinite(3.0 * float(self.d)):  # a numpy scalar would warn
+            raise ConfigurationError(f"speckle variance must keep 3*d finite (d up to about 5.99e307), got {self.d}")
 
 
 def apply_noise(frame: PixelBuffer | ColorBuffer, spec: NoiseSpec) -> PixelBuffer | ColorBuffer:
     """Apply the model named by the spec to a gray or a color frame.
 
-    The model runs one plane at a time, so a color frame holds no more float
+    A level of 0 returns the frame as it is, but poisson takes no level. The
+    model runs one plane at a time, so a color frame holds no more float
     temporaries at once than a gray one. Identical (frame, spec) inputs always
     produce identical output buffers.
     """
-    if spec.kind == "poisson":
-        if spec.d != 0:
-            warnings.warn(f"poisson noise is signal-dependent; level d={spec.d!r} is ignored", stacklevel=2)
-    elif spec.d == 0:
-        # d = 0 is the identity; salt_pepper would still salt a uniform of exactly 1.0
-        return frame
+    if spec.d == 0 and spec.kind != "poisson":
+        return frame  # salt_pepper would still salt a uniform of exactly 1.0
     kernel = _KERNELS[spec.kind]
     data = frame.data
     if data.ndim == 2:
@@ -124,7 +123,7 @@ def poisson(frame: PixelBuffer | ColorBuffer, seed: int) -> PixelBuffer | ColorB
 def speckle(frame: PixelBuffer | ColorBuffer, d: float, seed: int) -> PixelBuffer | ColorBuffer:
     """Multiplicative noise: x' = clamp(x/255 * (1 + n), 0, 1), requantized.
 
-    n is uniform on [-sqrt(3d), +sqrt(3d)], i.e. zero-mean with variance d.
+    n is uniform on [-sqrt(3d), +sqrt(3d)], i.e. zero-mean with variance d; 3d must be finite.
     """
     return apply_noise(frame, NoiseSpec("speckle", d, seed))
 

@@ -229,15 +229,15 @@ COMMAND_FLAGS = {
     "filter": _STAGE_FLAGS | {"--filter-kind", "--window"},
     "enhance": _STAGE_FLAGS | {"--sigma"},
     "run": _RUN_FLAGS,
-    "metrics": _RUN_FLAGS - {"--jobs"} | {"--reference-dir", "--output"},
+    "metrics": {"--config", "--input-dir", "--sample-name", "--size-label", "--reference-dir", "--output"},
     "report": {"--output-dir"},
 }
 
 # a valid value of each flag some command does not take
 _REFUSED_VALUES = {
-    "--jobs": "2", "--luma-weights": "0.2,0.3,0.5", "--noise-kind": "gaussian", "--noise-d": "0.1",
-    "--noise-seed": "3", "--filter-kind": "median", "--window": "3x3", "--sigma": "0.3", "--mode": "both",
-    "--psnr-reference": "noisy", "--size-label": "x",
+    "--seed": "5", "--jobs": "2", "--output-dir": "out", "--resize": "8x8", "--luma-weights": "0.2,0.3,0.5",
+    "--noise-kind": "gaussian", "--noise-d": "0.1", "--noise-seed": "3", "--filter-kind": "median", "--window": "3x3",
+    "--sigma": "0.3", "--mode": "both", "--psnr-reference": "noisy", "--size-label": "x",
 }
 
 # a value other than the default of each config field some stage does not read
@@ -260,6 +260,14 @@ def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPa
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _shell(*argv) -> subprocess.CompletedProcess:
+    """`python -m lumaforge <argv>` in a child process, with its stdout and stderr as text."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "lumaforge", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def command_argv(command, sequence_dir, tmp_path) -> list[str]:
     """A command line the command runs with exit 0; metrics writes its report to tmp_path/r.json."""
     if command == "metrics":
@@ -276,7 +284,7 @@ class TestCommandFlags:
         assert option_flags(parser) == set()
         commands = subparsers(parser)
         assert {name: option_flags(sub) for name, sub in commands.items()} == COMMAND_FLAGS
-        assert sum(len(flags) for flags in COMMAND_FLAGS.values()) == 71
+        assert sum(len(flags) for flags in COMMAND_FLAGS.values()) == 59
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in ("luma", "noise", "filter", "enhance", "metrics")
@@ -330,6 +338,36 @@ class TestCommandFlags:
         assert unread
         for field in unread:
             assert tree(field, **{field: _UNREAD_VALUES[field]}) == plain, field
+
+    @pytest.mark.parametrize("source", ["gray", "color"])
+    def test_a_field_metrics_has_no_flag_for_moves_only_the_digest(self, tmp_path, capsysbinary, source):
+        # pipeline.run_metrics decides what metrics reads; a config file still feeds every other field to the digest
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        if source == "gray":
+            write_gray_sequence(ours, "clip", [block_texture(i, rows=12, cols=16) for i in range(3)])
+            write_gray_sequence(theirs, "clip", [block_texture(i + 1, rows=12, cols=16) for i in range(3)])
+        else:
+            write_color_sequence(ours, "clip", [color_block_texture(i, rows=12, cols=16) for i in range(3)])
+            write_color_sequence(theirs, "clip", [color_block_texture(i + 1, rows=12, cols=16) for i in range(3)])
+        taken = option_flags(subparsers(cli_module.build_parser())["metrics"])
+        unread = sorted({key.partition(".")[0] for flag, key, *_ in cli_module._OVERRIDES if flag not in taken})
+        values = {**_UNREAD_VALUES, "seed": 5, "output_dir": str(tmp_path / "elsewhere"), "resize_to": [8, 8]}
+
+        def printed(name, **fields):
+            """The printed report with its digest blanked, and the digest."""
+            (tmp_path / f"{name}.json").write_text(json.dumps({"input_dir": str(ours), **fields}))
+            assert main(["metrics", "--config", str(tmp_path / f"{name}.json"), "--reference-dir", str(theirs)]) == 0
+            out = capsysbinary.readouterr().out
+            digest = json.loads(out)["pipeline_config_digest"]
+            return out.replace(digest.encode("ascii"), b""), digest
+
+        plain, plain_digest = printed("plain")
+        assert unread == ["filter", "luma_weights", "mode", "noise", "output_dir", "psnr_reference", "resize_to",
+                          "seed", "sigma"]
+        for field in unread:
+            report, digest = printed(field, **{field: values[field]})
+            assert report == plain and digest != plain_digest, field
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_every_benchmark_command_line_parses(self, monkeypatch):
         # a flag the CLI refused would fail every run of that benchmark workload
@@ -617,6 +655,34 @@ class TestExitCodes:
                                   text=True, timeout=120)
             assert done.returncode == code, (argv, done.stderr)
 
+    # pytest records Python warnings itself, so these run the program in a child to see its whole stderr
+    @pytest.mark.parametrize("kind, d", [("poisson", "0.5"), ("poisson", "5e-324"), ("speckle", "1e308")])
+    def test_a_noise_level_that_cannot_apply_is_one_error_line(self, tmp_path, kind, d):
+        # a poisson level would be ignored; 3 * d of that speckle level is inf, which makes a zero pixel NaN
+        frames = tmp_path / "frames"
+        write_gray_sequence(frames, "clip", [PixelBuffer(np.arange(16, dtype=np.uint8).reshape(4, 4))])
+        done = _shell("noise", "--input-dir", str(frames), "--output-dir", str(tmp_path / "out"), "--resize", "none",
+                      "--noise-kind", kind, "--noise-d", d)
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
+        assert kind in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("d", ["0", "-0.0"])
+    def test_a_poisson_level_of_zero_runs(self, tmp_path, sequence_dir, d):
+        done = _shell("noise", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out"),
+                      "--noise-kind", "poisson", "--noise-d", d)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(list((tmp_path / "out").glob("*.pgm"))) == 3
+
+    @pytest.mark.parametrize("sigma, level", [("1e308", 255), ("-1e308", 0)])
+    def test_a_huge_sigma_saturates_without_a_warning(self, tmp_path, sequence_dir, sigma, level):
+        done = _shell("enhance", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out"),
+                      "--resize", "none", f"--sigma={sigma}")
+        assert (done.returncode, done.stderr) == (0, "")
+        frames = sorted((tmp_path / "out").glob("*.pgm"))
+        assert len(frames) == 3 and all(np.all(read_image(path).data == level) for path in frames)
+
     def test_missing_required_field_is_1(self, capsys):
         assert main(["run"]) == 1
 
@@ -662,12 +728,12 @@ class TestExitCodes:
         # with a given sample_name, or as a metrics sequence, the stem names no file or table row
         frames, out = tmp_path / "frames", tmp_path / "out"
         write_gray_sequence(frames, stem, [block_texture(0, rows=4, cols=4)])
-        argv = [command, "--input-dir", str(frames), "--output-dir", str(out)]
+        argv = [command, "--input-dir", str(frames)]
         if command == "metrics":
             assert main(argv + ["--reference-dir", str(frames)]) == 0
             assert json.loads(capsys.readouterr().out)["sample_name"] == stem
         else:
-            assert main(argv + ["--sample-name", "clip"]) == 0
+            assert main(argv + ["--output-dir", str(out), "--sample-name", "clip"]) == 0
             names = [path.name for path in out.iterdir() if path.suffix != ".json"]
             assert names and all(name.startswith("clip_") for name in names)
 

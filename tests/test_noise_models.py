@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -35,6 +36,10 @@ small_frames = npst.arrays(
 )
 small_color_frames = npst.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)))
 LEVELS = {"salt_pepper": 0.25, "gaussian": 0.01, "poisson": 0.0, "speckle": 0.05}
+# the largest speckle variance whose 3 * d, the square of the noise's half-width, is finite
+LARGEST_SPECKLE_D = sys.float_info.max / 3.0
+if not math.isfinite(3.0 * LARGEST_SPECKLE_D):
+    LARGEST_SPECKLE_D = math.nextafter(LARGEST_SPECKLE_D, 0.0)
 
 
 def mid_gray(rows=256, cols=256):
@@ -116,8 +121,20 @@ class TestNoiseSpec:
         with pytest.raises(ConfigurationError):
             NoiseSpec(kind, -0.01, 0)
 
-    def test_poisson_accepts_any_d(self):
-        NoiseSpec("poisson", 5.0, 0)  # recorded but unused
+    def test_poisson_refuses_a_nonzero_d(self):
+        # poisson is signal-dependent, so a level would change nothing
+        for d in (5.0, 0.05, 5e-324, -1.0):
+            with pytest.raises(ConfigurationError, match="poisson noise is signal-dependent and takes no level d"):
+                NoiseSpec("poisson", d, 0)
+        for zero in (0, 0.0, -0.0):
+            assert NoiseSpec("poisson", zero, 0).d == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_speckle_level_keeps_three_d_finite(self, real):
+        NoiseSpec("speckle", real(LARGEST_SPECKLE_D), 0)
+        with pytest.raises(ConfigurationError, match="speckle variance must keep 3[*]d finite"):
+            NoiseSpec("speckle", real(math.nextafter(LARGEST_SPECKLE_D, math.inf)), 0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_range(self, seed):
@@ -160,11 +177,6 @@ class TestDispatch:
                      lambda f: speckle(f, 0.01, seed), lambda f: poisson(f, seed)):
             with pytest.raises(ConfigurationError, match="seed"):
                 call(mid_gray(4, 4))
-
-    def test_poisson_warns_when_d_nonzero(self):
-        frame = PixelBuffer(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.warns(UserWarning, match="ignored"):
-            apply_noise(frame, NoiseSpec("poisson", 0.05, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(small_frames, seeds, st.sampled_from(["salt_pepper", "gaussian", "speckle"]))
@@ -543,3 +555,12 @@ class TestSpeckle:
     def test_rejects_negative_variance(self):
         with pytest.raises(ConfigurationError):
             speckle(mid_gray(4, 4), -1.0, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_largest_level_drives_each_pixel_to_an_extreme(self):
+        # n's half-width sqrt(3d) is about 1.3e154, so a nonzero pixel clamps by the sign of 2u - 1 and 0 stays 0
+        d, seed = LARGEST_SPECKLE_D, 21
+        frame = PixelBuffer(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        up = site_uniforms(seed, 64).reshape(8, 8) > 0.5
+        expected = np.where(frame.data == 0, 0, np.where(up, 255, 0)).astype(np.uint8)
+        assert np.array_equal(speckle(frame, d, seed).data, expected)

@@ -114,7 +114,8 @@ _VALID_CONFIGS = st.builds(
     output_dir=_NAMES,
     resize_to=st.none() | st.builds(Dimensions, st.integers(1, 8192), st.integers(1, 8192)),
     luma_weights=st.builds(lambda r, g: LumaWeights(r, g, 1.0 - r - g), _UNIT, _UNIT),
-    noise=st.none() | st.builds(NoiseSpec, st.sampled_from(NOISE_KINDS), st.floats(0, 1), st.integers(0, 2**64 - 1)),
+    noise=st.none() | st.sampled_from(NOISE_KINDS).flatmap(lambda kind: st.builds(
+        NoiseSpec, st.just(kind), st.just(0.0) if kind == "poisson" else st.floats(0, 1), st.integers(0, 2**64 - 1))),
     filter=st.none()
     | st.builds(FilterSpec, st.just("median"), st.builds(FilterWindow, _ODD_SIDES, _ODD_SIDES))
     | _ODD_SIDES.filter(lambda n: n >= 3).map(lambda n: FilterSpec("hybrid_median", FilterWindow(n, n))),

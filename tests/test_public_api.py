@@ -6,8 +6,8 @@ package, and the package itself. It also checks that no module keeps an import
 or a private name that nothing in it uses, that every file a command
 writes is opened in one place, that every metrics report is built in one
 place, that JSON is rendered only for a report and a config digest, that
-the config digest is the one hash, taken without OpenSSL, and that a gray
-frame is promoted to color in one place.
+the config digest is the one hash, taken without OpenSSL, that a gray
+frame is promoted to color in one place, and that no module warns.
 """
 
 import ast
@@ -172,3 +172,14 @@ def test_one_hash():
             if {module.split(".")[0] for module in modules} & {"hashlib", "_hashlib", "ssl", "_ssl"}:
                 openssl.add((path.stem, type(parents[node]).__name__, *modules))
     assert openssl == {("pipeline", "ExceptHandler", "hashlib")}
+
+
+def test_no_warnings():
+    # a value the library cannot use is refused with a ConfigurationError, not taken with a warning
+    def top_names(node):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        return {name.split(".")[0] for name in names}
+
+    importers = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and "warnings" in top_names(node)}
+    assert importers == set()
