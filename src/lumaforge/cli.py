@@ -10,7 +10,7 @@ noise adds --noise-kind --noise-d --noise-seed, filter adds --filter-kind
 --psnr-reference --size-label; metrics takes --config --input-dir
 --sample-name --size-label --reference-dir --output; report takes report
 files and --output-dir. A --config file may set every field for every
-command; flag > config file > LUMAFORGE_SEED (for the seed) > built-in default.
+command; flag > config file > built-in default.
 
 Exit codes: 0 success, 1 usage/config error, 2 ingestion error, 3 pipeline
 stage error.
@@ -19,7 +19,6 @@ stage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from .pipeline import (
 )
 from .quality_metrics import MetricsReport
 
-SEED_ENV_VAR = "LUMAFORGE_SEED"
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the exit-code contract
@@ -150,13 +148,6 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
             # a section the file got wrong stays as it is, for from_mapping to reject
             base = mapping.get(section) or {}
             mapping[section] = {**base, field: flags[key]} if isinstance(base, dict) else base
-
-    if "seed" not in mapping and SEED_ENV_VAR in os.environ:
-        raw = os.environ[SEED_ENV_VAR]
-        try:
-            mapping["seed"] = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
     if default_output is not None:
         mapping.setdefault("output_dir", default_output)

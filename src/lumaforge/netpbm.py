@@ -3,8 +3,8 @@
 The writer emits the canonical header b"P5\\n<cols> <rows>\\n255\\n" (P6 for
 color) followed by the raw row-major samples, nothing else, so equal buffers
 always serialize to equal bytes. The reader accepts arbitrary header
-whitespace and '#' comments but insists on maxval 255 and an exact payload
-length.
+whitespace and '#' comments but insists on maxval 255, an exact payload
+length, and P5 in a .pgm file and P6 in a .ppm file.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def _parse_header(data: bytes, name: str, size: int) -> tuple[int, Dimensions, i
             "each after whitespace or comments, then one whitespace byte"
         )
     magic, *numbers = match.groups()
+    # a frame's extension names the kind it is read as, so the magic must agree with it
+    wanted = {".pgm": b"P5", ".ppm": b"P6"}.get(name[-4:], magic)
+    if magic != wanted:
+        raise IngestionError(f"{name}: a {name[-4:]} file must hold {wanted.decode()} data, got {magic.decode()}")
     try:
         cols, rows, maxval = map(int, numbers)
     except ValueError as exc:  # more digits than int() converts

@@ -213,7 +213,7 @@ class FrameSequence:
     name: str
     paths: list[Path]
     dims: Dimensions
-    native_kind: str = "color"
+    native_kind: str
 
     def load(self, index: int) -> PixelBuffer | ColorBuffer:
         image = read_image(self.paths[index])

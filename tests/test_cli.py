@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -53,6 +54,32 @@ def test_a_run_ingests_once_through_the_pipeline_module(tmp_path, sequence_dir, 
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_no_environment_variable_moves_a_byte(tmp_path, sequence_dir, monkeypatch, capsysbinary, command):
+    # a command's bytes depend only on its argv, its config file and its frames, so not on a seed in the environment
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--input-dir", str(sequence_dir), "--output-dir", str(out),
+                "--noise-kind", "gaussian", "--noise-d", "0.01"],
+        "metrics": ["metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
+                    "--output", str(out / "r.json")],
+    }[command]
+
+    def outputs():
+        if command == "metrics":
+            out.mkdir()
+        assert main(argv) == 0
+        tree = tree_digest(out), capsysbinary.readouterr().out
+        shutil.rmtree(out)
+        return tree
+
+    monkeypatch.delenv("LUMAFORGE_SEED", raising=False)
+    unset = outputs()
+    for value in ("5", "x"):
+        monkeypatch.setenv("LUMAFORGE_SEED", value)
+        assert outputs() == unset
+
+
 class TestRunCommand:
     def test_full_run(self, tmp_path, sequence_dir, capsys):
         code = main(
@@ -90,28 +117,6 @@ class TestRunCommand:
         report_a = json.loads((tmp_path / "out_a" / "report.json").read_text())
         report_b = json.loads((tmp_path / "out_b" / "report.json").read_text())
         assert report_a["pipeline_config_digest"] != report_b["pipeline_config_digest"]
-
-    def test_seed_env_fallback_and_override(self, tmp_path, sequence_dir, monkeypatch):
-        base = [
-            "run",
-            "--input-dir", str(sequence_dir),
-            "--resize", "none",
-            "--noise-kind", "gaussian",
-            "--noise-d", "0.01",
-        ]
-        monkeypatch.setenv("LUMAFORGE_SEED", "21")
-        assert main(base + ["--output-dir", str(tmp_path / "env")]) == 0
-        monkeypatch.delenv("LUMAFORGE_SEED")
-        assert main(base + ["--output-dir", str(tmp_path / "flag"), "--seed", "21"]) == 0
-        env_frames = {p.name: p.read_bytes() for p in (tmp_path / "env").glob("*.pgm")}
-        flag_frames = {p.name: p.read_bytes() for p in (tmp_path / "flag").glob("*.pgm")}
-        assert env_frames == flag_frames
-
-        monkeypatch.setenv("LUMAFORGE_SEED", "21")
-        assert main(base + ["--output-dir", str(tmp_path / "win"), "--seed", "8"]) == 0
-        win_report = json.loads((tmp_path / "win" / "report.json").read_text())
-        env_report = json.loads((tmp_path / "env" / "report.json").read_text())
-        assert win_report["pipeline_config_digest"] != env_report["pipeline_config_digest"]
 
     def test_field_override_flags(self, tmp_path, sequence_dir, capsys):
         code = main([
@@ -204,8 +209,7 @@ class TestOverrideTable:
         ("not-utf8", b'{"input_dir": "caf\xe9"}',
          "cfg.json: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 18: invalid continuation byte"),
     ]])
-    def test_a_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, body, line):
-        monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
+    def test_a_malformed_config_is_one_error_line(self, tmp_path, capsys, body, line):
         path = tmp_path / "cfg.json"
         if isinstance(body, bytes):
             path.write_bytes(body)
@@ -712,6 +716,31 @@ class TestExitCodes:
         assert len(err_lines) == 1 and err_lines[0].startswith("ingestion error: ") and repr(stem) in err_lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("held", ["P5", "P6"])
+    @pytest.mark.parametrize("command", ["run", "enhance", "metrics"])
+    def test_a_frame_whose_magic_disagrees_with_its_extension_is_2(self, tmp_path, capsys, command, held):
+        # a sequence is read in the kind its extension names, so a .pgm must hold P5 and a .ppm P6
+        frames = tmp_path / "frames"
+        gray = [block_texture(i, rows=6, cols=8) for i in range(2)]
+        color = [color_block_texture(i, rows=6, cols=8) for i in range(2)]
+        if held == "P6":
+            write_gray_sequence(frames, "clip", gray)
+            bad, wanted = frames / "clip_001.pgm", "P5"
+            write_image(color[1], bad)
+        else:
+            write_color_sequence(frames, "clip", color)
+            bad, wanted = frames / "clip_001.ppm", "P6"
+            write_image(gray[1], bad)
+        argv = [command, "--input-dir", str(frames)]
+        if command == "metrics":
+            argv += ["--reference-dir", str(frames), "--output", str(tmp_path / "r.json")]
+        else:
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [f"ingestion error: {bad}: a {bad.suffix} file must hold {wanted} data, got {held}"]
+        assert [path.name for path in tmp_path.iterdir()] == ["frames"]
+
     def test_a_stem_holding_a_line_feed_counts_as_a_second_stem(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         write_gray_sequence(frames, "clip", [block_texture(0, rows=4, cols=4)])
@@ -853,17 +882,6 @@ class TestExitCodes:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith(start.format(tmp=tmp_path))
         assert not (tmp_path / "out").exists()
-
-
-class TestSeedValidation:
-    def test_bad_env_seed_is_usage_error(self, tmp_path, sequence_dir, monkeypatch):
-        monkeypatch.setenv("LUMAFORGE_SEED", "not-a-number")
-        code = main([
-            "run",
-            "--input-dir", str(sequence_dir),
-            "--output-dir", str(tmp_path / "out"),
-        ])
-        assert code == 1
 
 
 class TestConfigValidation:

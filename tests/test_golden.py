@@ -9,9 +9,7 @@ four stage commands on both source kinds; a real resize; jobs 2; the
 `metrics` JSON; and the `report` tables.
 
 Paths are relative to the working directory, because `report.json` carries a
-digest of the config and the config holds the input and output paths. For the
-same reason LUMAFORGE_SEED is cleared: the golden `metrics` cases pass no
---seed, so the environment would set the seed in their digest.
+digest of the config and the config holds the input and output paths.
 
 A case fails when any output byte of that case changes. When a change is
 meant to alter output bytes, regenerate the corpus and record the reason in
@@ -32,7 +30,7 @@ import pytest
 from conftest import block_texture, color_block_texture
 
 from lumaforge import write_image
-from lumaforge.cli import SEED_ENV_VAR, main
+from lumaforge.cli import main
 
 DIGESTS_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -158,8 +156,6 @@ def test_corpus_names_every_case(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_tree_matches_golden(name, workdir, golden, monkeypatch, capsys):
-    # a command without --seed would take the seed from the environment
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     monkeypatch.chdir(workdir)
     assert run_case(name) == golden[name]
 
@@ -170,7 +166,6 @@ def regenerate() -> None:
     import os
     import tempfile
 
-    os.environ.pop(SEED_ENV_VAR, None)
     with tempfile.TemporaryDirectory() as tmp:
         previous = os.getcwd()
         os.chdir(tmp)

@@ -166,3 +166,15 @@ def test_read_dims_reads_no_further_than_a_header_can_reach(head, tmp_path, monk
 def test_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="nothere"):
         read_image(tmp_path / "nothere.pgm")
+
+
+@pytest.mark.parametrize("name, buf", [
+    ("a.pgm", ColorBuffer(np.zeros((2, 3, 3), dtype=np.uint8))),
+    ("a.ppm", PixelBuffer(np.zeros((2, 3), dtype=np.uint8))),
+])
+def test_a_frame_file_holds_the_kind_its_extension_names(name, buf, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(encode_image(buf))
+    for read in (read_dims, read_image):
+        with pytest.raises(IngestionError, match=rf"{name}: a \.p.m file must hold P. data"):
+            read(path)

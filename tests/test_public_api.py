@@ -7,7 +7,8 @@ or a private name that nothing in it uses, that every file a command
 writes is opened in one place, that every metrics report is built in one
 place, that JSON is rendered only for a report and a config digest, that
 the config digest is the one hash, taken without OpenSSL, that a gray
-frame is promoted to color in one place, and that no module warns.
+frame is promoted to color in one place, that no module warns, and that no
+module reads the process environment.
 """
 
 import ast
@@ -183,3 +184,16 @@ def test_no_warnings():
     importers = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, (ast.Import, ast.ImportFrom)) and "warnings" in top_names(node)}
     assert importers == set()
+
+
+def test_no_environment_reads():
+    # a command's bytes depend only on its argv, its config file and its frames, so no shell setting may move them
+    environment = {"environ", "environb", "getenv"}
+    reads = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in environment:
+                reads.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads |= {(path.stem, alias.name) for alias in node.names if alias.name in environment}
+    assert reads == set()
