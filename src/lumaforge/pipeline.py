@@ -388,7 +388,10 @@ def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str 
     try:
         for index in range(count):
             while len(pending) < jobs + _WAITING_FRAMES and index + len(pending) < count:
-                pending.append(pool.submit(work, index + len(pending)))
+                try:
+                    pending.append(pool.submit(work, index + len(pending)))
+                except RuntimeError as exc:  # the OS refused a worker thread (a process or pid limit)
+                    raise PipelineStageError(f"cannot start a worker: {exc}") from exc
             outputs, artifacts = pending.popleft().result()
             _write(f"frame {index}", artifacts, written)
             for kind, path, sse, samples in outputs:

@@ -147,8 +147,9 @@ BT601_WEIGHTS = LumaWeights(0.299, 0.587, 0.114)
 def rgb_to_luma(frame: ColorBuffer | PixelBuffer, weights: LumaWeights = BT601_WEIGHTS) -> PixelBuffer:
     """Collapse RGB to intensity: round_half_up(red*R + green*G + blue*B).
 
-    Gray inputs (R = G = B) map to themselves exactly, and a PixelBuffer is returned as it is. The [0, 255]
-    clamp is a guard for weight sums a hair above 1; it never fires for valid weights.
+    Gray inputs (R = G = B) map to themselves exactly, and a PixelBuffer is returned as it is. No clamp is
+    needed: valid weights are nonnegative and sum to at most 1 + 1e-9, so the weighted sum is at most
+    255 * (1 + 1e-9), which rounds to at most 255.
     """
     if isinstance(frame, PixelBuffer):
         return frame
@@ -159,7 +160,7 @@ def rgb_to_luma(frame: ColorBuffer | PixelBuffer, weights: LumaWeights = BT601_W
     y += term
     y += np.multiply(rgb[..., 2], weights.blue, dtype=np.float64, out=term)
     np.floor(np.add(y, 0.5, out=y), out=y)  # round_half_up in place
-    return PixelBuffer._adopt(np.clip(y, 0, 255, out=y).astype(np.uint8))
+    return PixelBuffer._adopt(y.astype(np.uint8))
 
 
 def resize_nearest(frame, target: Dimensions):

@@ -27,6 +27,7 @@ from lumaforge import (
     decode_image,
     encode_image,
     enhance_with_diagnostics,
+    histogram,
     hybrid_median_filter,
     ingest_frames,
     median_filter,
@@ -50,6 +51,7 @@ def kernel_outputs(frame) -> dict:
         "decode": decode_image(encode_image(frame)),
         "pre_counts": pre,
         "post_counts": post,
+        "histogram": histogram(frame),
     }
     for kind in NOISE_KINDS:
         outputs[f"noise_{kind}"] = apply_noise(frame, NoiseSpec(kind, 0.0 if kind == "poisson" else 0.05, 3))

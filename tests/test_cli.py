@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -658,6 +659,19 @@ class TestExitCodes:
             done = subprocess.run([sys.executable, "-m", module, "luma", *argv], env=env, capture_output=True,
                                   text=True, timeout=120)
             assert done.returncode == code, (argv, done.stderr)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["run", "enhance"])
+    def test_a_worker_the_os_refuses_is_3(self, tmp_path, sequence_dir, monkeypatch, capsys, command, jobs):
+        # the refusal is simulated: exhausting real threads would starve every other process
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "out"
+        assert main([command, "--input-dir", str(sequence_dir), "--output-dir", str(out), "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == "pipeline error: cannot start a worker: can't start new thread\n"
+        assert list(out.iterdir()) == []
 
     # pytest records Python warnings itself, so these run the program in a child to see its whole stderr
     @pytest.mark.parametrize("kind, d", [("poisson", "0.5"), ("poisson", "5e-324"), ("speckle", "1e308")])

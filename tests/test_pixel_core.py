@@ -139,8 +139,20 @@ class TestRgbToLuma:
             + BT601_WEIGHTS.green * rgb[..., 1]
             + BT601_WEIGHTS.blue * rgb[..., 2]
         )
-        assert raw.min() >= 0 and raw.max() <= 255  # convex combination: clamp never fires
+        assert raw.min() >= 0 and raw.max() <= 255  # convex combination: in range with no clamp
         assert np.array_equal(rgb_to_luma(ColorBuffer(arr)).data, raw.astype(np.uint8))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1 + 9e-10, 0.0, 0.0), (0.0, 0.0, 1 + 9e-10), (0.299 + 3e-10, 0.587 + 3e-10, 0.114 + 3e-10)],
+        ids=["red", "blue", "bt601"],
+    )
+    def test_weight_sums_at_the_tolerance_stay_in_range(self, weights):
+        # a sum up to 1e-9 over 1 is valid, and 255 * (1 + 1e-9) still rounds to 255 with no clamp
+        white = ColorBuffer.full(Dimensions(2, 2), (255, 255, 255))
+        black = ColorBuffer.full(Dimensions(2, 2), (0, 0, 0))
+        assert np.all(rgb_to_luma(white, LumaWeights(*weights)).data == 255)
+        assert np.all(rgb_to_luma(black, LumaWeights(*weights)).data == 0)
 
     def test_output_dims_match(self):
         frame = ColorBuffer(np.zeros((4, 7, 3), dtype=np.uint8))

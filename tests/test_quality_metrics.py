@@ -10,7 +10,6 @@ from lumaforge import (
     ColorBuffer,
     ConfigurationError,
     Dimensions,
-    Histogram,
     MetricsReport,
     PixelBuffer,
     PsnrResult,
@@ -26,13 +25,16 @@ from lumaforge.luma_equalize import N_LEVELS
 
 @st.composite
 def histograms(draw):
-    """A gray (area rows * cols) or color (3 * rows * cols) histogram; levels may hold 0 or every sample."""
+    """A gray (area rows * cols) or color (3 * rows * cols) histogram; levels may hold 0 or every sample.
+
+    It is counted from a 1 x area frame, since a Histogram only comes from a frame.
+    """
     area = draw(st.sampled_from([1, 3])) * draw(st.integers(1, 288)) * draw(st.integers(1, 352))
     occupied = draw(st.integers(1, N_LEVELS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = np.zeros(N_LEVELS, dtype=np.int64)
     counts[rng.choice(N_LEVELS, occupied, replace=False)] = rng.multinomial(area, np.full(occupied, 1 / occupied))
-    return Histogram(counts)
+    return histogram(PixelBuffer(np.repeat(np.arange(N_LEVELS, dtype=np.uint8), counts)[None, :]))
 
 # gray/color PSNR pairs published for the six samples, with the improvement
 # the formula actually yields (the source prints 12.45 for the first row; the
@@ -184,7 +186,7 @@ class TestHistogramCsv:
 
     @pytest.mark.parametrize("cache", ["cleared", "full"])
     @given(hist=histograms())
-    @example(hist=Histogram(np.eye(N_LEVELS, dtype=np.int64)[7] * 3 * 144 * 176))
+    @example(hist=histogram(PixelBuffer.full(Dimensions(3 * 144, 176), 7)))
     def test_cell_cache_gives_the_uncached_bytes(self, cache, hist):
         cell = quality_metrics._cell
         if cache == "cleared":
