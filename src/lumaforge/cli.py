@@ -30,9 +30,7 @@ from .pipeline import (
     MODES,
     PSNR_REFERENCES,
     PipelineConfig,
-    _make_dir,
-    _removed_on_failure,
-    _write,
+    _writing,
     report_table,
     run_metrics,
     run_pipeline,
@@ -60,27 +58,27 @@ def _number_list(sep: str, convert):
     return parse
 
 
-# flag, dest, type, choices, help; an override's dest is its config key ("section.field" inside noise or filter)
+# flag, dest, type, help; an override's dest is its config key ("section.field" inside noise or filter)
 _COMMON = (
-    ("--config", "config", str, None, "JSON config file"),
-    ("--jobs", "jobs", int, None, "worker count (default 1)"),
+    ("--config", "config", str, "JSON config file"),
+    ("--jobs", "jobs", int, "worker count (default 1)"),
 )
 _OVERRIDES = (
-    ("--seed", "seed", int, None, "base 64-bit seed"),
-    ("--input-dir", "input_dir", str, None, "frame directory"),
-    ("--output-dir", "output_dir", str, None, "artifact directory"),
-    ("--resize", "resize_to", _number_list("x", int), None, "ROWSxCOLS target, or 'none' to disable"),
-    ("--luma-weights", "luma_weights", _number_list(",", float), None, "RED,GREEN,BLUE"),
-    ("--noise-kind", "noise.kind", str, None, "|".join(NOISE_KINDS) + ", or 'none' to disable"),
-    ("--noise-d", "noise.d", float, None, "noise level"),
-    ("--noise-seed", "noise.seed", int, None, "noise stream seed"),
-    ("--filter-kind", "filter.kind", str, None, "|".join(FILTER_KINDS) + ", or 'none' to disable"),
-    ("--window", "filter.window", _number_list("x", int), None, "filter window ROWSxCOLS"),
-    ("--sigma", "sigma", float, None, "equalization weight (default 0)"),
-    ("--mode", "mode", str, MODES, "processing path"),
-    ("--psnr-reference", "psnr_reference", str, PSNR_REFERENCES, "frame PSNR is measured against"),
-    ("--sample-name", "sample_name", str, None, "prefix of each frame and CSV written, and a report's sample name"),
-    ("--size-label", "size_label", str, None, "source size metadata"),
+    ("--seed", "seed", int, "base 64-bit seed"),
+    ("--input-dir", "input_dir", str, "frame directory"),
+    ("--output-dir", "output_dir", str, "artifact directory"),
+    ("--resize", "resize_to", _number_list("x", int), "ROWSxCOLS target, or 'none' to disable"),
+    ("--luma-weights", "luma_weights", _number_list(",", float), "RED,GREEN,BLUE"),
+    ("--noise-kind", "noise.kind", str, "|".join(NOISE_KINDS) + ", or 'none' to disable"),
+    ("--noise-d", "noise.d", float, "noise level"),
+    ("--noise-seed", "noise.seed", int, "noise stream seed"),
+    ("--filter-kind", "filter.kind", str, "|".join(FILTER_KINDS) + ", or 'none' to disable"),
+    ("--window", "filter.window", _number_list("x", int), "filter window ROWSxCOLS"),
+    ("--sigma", "sigma", float, "equalization weight (default 0)"),
+    ("--mode", "mode", str, "processing path: " + "|".join(MODES)),
+    ("--psnr-reference", "psnr_reference", str, "what frame PSNR is measured against: " + "|".join(PSNR_REFERENCES)),
+    ("--sample-name", "sample_name", str, "prefix of each frame and CSV written, and a report's sample name"),
+    ("--size-label", "size_label", str, "source size metadata"),
 )
 _FLAGS = {spec[0]: spec for spec in _COMMON + _OVERRIDES}
 
@@ -107,10 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=summary)
         sub.set_defaults(handler=handlers.get(command, _cmd_stage))
         for flag in flags:
-            _, dest, convert, choices, text = _FLAGS[flag]
+            _, dest, convert, text = _FLAGS[flag]
             # the metavar argparse would derive from the flag, not from the dotted key
-            metavar = None if choices else flag[2:].upper().replace("-", "_")
-            sub.add_argument(flag, dest=dest, type=convert, choices=choices, metavar=metavar,
+            sub.add_argument(flag, dest=dest, type=convert, metavar=flag[2:].upper().replace("-", "_"),
                              default=argparse.SUPPRESS, help=text)
 
     metrics = subparsers.choices["metrics"]
@@ -136,13 +133,15 @@ def _resolve_config(args: argparse.Namespace, default_output: str | None = None)
         mapping = data
 
     flags = vars(args)
-    for _, key, *_ in _OVERRIDES:
+    for flag, key, *_ in _OVERRIDES:
         if key not in flags:
             continue
         section, dot, field = key.partition(".")
         if not dot:
             mapping[key] = flags[key]
         elif flags.get(f"{section}.kind") == "none":
+            if field != "kind":  # a flag of a section that is switched off would be dropped unread
+                raise ConfigurationError(f"{flag} has no effect with --{section}-kind none")
             mapping[section] = None
         else:
             # a section the file got wrong stays as it is, for from_mapping to reject
@@ -166,7 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_pipeline(cfg, jobs=getattr(args, "jobs", 1))
     _, aligned = report_table([report])
     print(aligned, end="")
-    print(f"report: {Path(cfg.output_dir) / 'report.json'}")
+    print(f"report: {cfg.output_dir / 'report.json'}")
     return 0
 
 
@@ -174,8 +173,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, default_output=".")
     data = run_metrics(cfg, args.reference_dir).to_json_bytes()
     if args.output:
-        with _removed_on_failure() as written:
-            _write("report", [(Path(args.output), data)], written)
+        with _writing() as write:
+            write("report", [(Path(args.output), data)])
     print(data.decode("ascii"), end="")
     return 0
 
@@ -186,9 +185,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.table_dir:
         table_dir = Path(args.table_dir)
         csv_path, txt_path = table_dir / "table.csv", table_dir / "table.txt"
-        _make_dir(table_dir)
-        with _removed_on_failure() as written:
-            _write("tables", [(csv_path, csv_text.encode("utf-8")), (txt_path, aligned.encode("utf-8"))], written)
+        with _writing(table_dir) as write:
+            write("tables", [(csv_path, csv_text.encode("utf-8")), (txt_path, aligned.encode("utf-8"))])
         aligned += f"tables: {csv_path}, {txt_path}\n"
     print(aligned, end="")
     return 0

@@ -116,7 +116,7 @@ class FilterSpec:
             self.window._check_hybrid()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; serializable to/from a single JSON document.
 
@@ -139,8 +139,8 @@ class PipelineConfig:
     size_label: str | None = None
 
     def __post_init__(self):
-        self.input_dir = Path(self.input_dir)
-        self.output_dir = Path(self.output_dir)
+        object.__setattr__(self, "input_dir", Path(self.input_dir))
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.psnr_reference not in PSNR_REFERENCES:
@@ -197,7 +197,7 @@ class PipelineConfig:
         """The inverse of to_mapping; fields with a default may be left out."""
         cfg = build(cls, data, "config", ConfigurationError)
         if cfg.noise is not None and "seed" not in data["noise"]:
-            cfg.noise = replace(cfg.noise, seed=cfg.seed)
+            return replace(cfg, noise=replace(cfg.noise, seed=cfg.seed))
         return cfg
 
 
@@ -284,20 +284,20 @@ def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) 
             raise PipelineStageError(f"{what}: cannot write: {exc}") from exc
 
 
-def _make_dir(directory: Path) -> None:
-    """Create an output directory and its parents, or raise PipelineStageError."""
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
-
-
 @contextlib.contextmanager
-def _removed_on_failure():
-    """Yields the list of paths a run writes; any exception, KeyboardInterrupt included, removes them."""
+def _writing(directory: Path | None = None):
+    """Make `directory` and its parents if given, then yield write(what, artifacts), which calls _write.
+
+    Any exception, KeyboardInterrupt included, removes every file write opened; the directory stays.
+    """
+    if directory is not None:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
     written: list[Path] = []
     try:
-        yield written
+        yield lambda what, artifacts: _write(what, artifacts, written)
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):
@@ -327,19 +327,19 @@ def _path(cfg: PipelineConfig, frame: PixelBuffer | ColorBuffer, index: int, kin
 _STAGE_INFIX = {"luma": "luma", "noise": "noisy", "filter": "filtered", "enhance": "enhanced"}
 
 
-def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str | None = None):
+def _run_frames(cfg: PipelineConfig, jobs: int, stage: str | None = None):
     """The one frame loop: ingest, then `jobs` workers compute frames and the calling thread writes them.
 
     Workers decode and process a frame and return its artifacts, with no I/O;
-    the calling thread writes them in index order, each path into `written`,
-    with at most jobs + _WAITING_FRAMES frames in flight (submitted, unwritten).
-    `stage` None is a full run: the paths of cfg.mode, enhanced and scored.
+    the calling thread writes them in index order through one _writing
+    context, opened once ingestion succeeds, with at most jobs +
+    _WAITING_FRAMES frames in flight (submitted, unwritten). `stage` None is
+    a full run: the paths of cfg.mode, enhanced and scored, then report.json.
     A stage name makes this the one place that decides what the stage runs:
     `luma` takes the gray path and every other stage the sequence's native
     kind; each keeps only its own noise or filter step, only `enhance`
-    enhances, and no stage is scored. Returns the sequence, the frame paths in
-    index order, and per kind taken the (squared error vs the PSNR reference,
-    0 for a stage; sample count) total, pooled as each frame is written.
+    enhances, and no stage is scored. Returns the frame paths in index order
+    and the report, None for a stage.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -347,8 +347,7 @@ def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str 
     name = cfg.sample_name or sequence.name
     if not _plain_name(name):  # a given sample_name passed this check in PipelineConfig
         raise IngestionError(f"frame file stem {name!r} cannot prefix artifact names; give a sample_name")
-    out_dir = Path(cfg.output_dir)
-    _make_dir(out_dir)
+    out_dir = cfg.output_dir
     pad = max(3, len(str(len(sequence.paths) - 1)))
     if stage is not None:
         # luma is the gray path with every step off; the other stages keep only
@@ -384,23 +383,28 @@ def _run_frames(cfg: PipelineConfig, jobs: int, written: list[Path], stage: str 
         return outputs, artifacts
 
     count, pending, paths, totals = len(sequence.paths), deque(), [], {}
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    try:
-        for index in range(count):
-            while len(pending) < jobs + _WAITING_FRAMES and index + len(pending) < count:
-                try:
-                    pending.append(pool.submit(work, index + len(pending)))
-                except RuntimeError as exc:  # the OS refused a worker thread (a process or pid limit)
-                    raise PipelineStageError(f"cannot start a worker: {exc}") from exc
-            outputs, artifacts = pending.popleft().result()
-            _write(f"frame {index}", artifacts, written)
-            for kind, path, sse, samples in outputs:
-                kind_sse, kind_samples = totals.get(kind, (0, 0))
-                totals[kind] = (kind_sse + sse, kind_samples + samples)
-                paths.append(path)
-    finally:  # after a failure, frames not yet started never start
-        pool.shutdown(cancel_futures=True)
-    return sequence, paths, totals
+    with _writing(out_dir) as write:
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        try:
+            for index in range(count):
+                while len(pending) < jobs + _WAITING_FRAMES and index + len(pending) < count:
+                    try:
+                        pending.append(pool.submit(work, index + len(pending)))
+                    except RuntimeError as exc:  # the OS refused a worker thread (a process or pid limit)
+                        raise PipelineStageError(f"cannot start a worker: {exc}") from exc
+                outputs, artifacts = pending.popleft().result()
+                write(f"frame {index}", artifacts)
+                for kind, path, sse, samples in outputs:
+                    kind_sse, kind_samples = totals.get(kind, (0, 0))
+                    totals[kind] = (kind_sse + sse, kind_samples + samples)
+                    paths.append(path)
+        finally:  # after a failure, frames not yet started never start
+            pool.shutdown(cancel_futures=True)
+        if stage is not None:
+            return paths, None
+        report = _report(cfg, sequence, cfg.resize_to if cfg.resize_to is not None else sequence.dims, totals)
+        write("report", [(out_dir / "report.json", report.to_json_bytes())])
+    return paths, report
 
 
 def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
@@ -411,11 +415,7 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1) -> MetricsReport:
     output byte) is identical for any worker count. Any failed stage or write,
     report.json last, removes this run's files and raises PipelineStageError.
     """
-    with _removed_on_failure() as written:
-        sequence, _, totals = _run_frames(cfg, jobs, written)
-        report = _report(cfg, sequence, cfg.resize_to if cfg.resize_to is not None else sequence.dims, totals)
-        _write("report", [(Path(cfg.output_dir) / "report.json", report.to_json_bytes())], written)
-    return report
+    return _run_frames(cfg, jobs)[1]
 
 
 def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
@@ -431,8 +431,7 @@ def run_stage(cfg: PipelineConfig, stage: str, jobs: int = 1) -> list[Path]:
         raise ConfigurationError(f"unknown stage {stage!r}; expected one of {sorted(_STAGE_INFIX)}")
     if stage in ("noise", "filter") and getattr(cfg, stage) is None:
         raise ConfigurationError(f"the {stage} stage needs a {stage} spec in the config")
-    with _removed_on_failure() as written:
-        return _run_frames(cfg, jobs, written, stage)[1]
+    return _run_frames(cfg, jobs, stage)[0]
 
 
 def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:

@@ -178,15 +178,40 @@ class TestOverrideTable:
         assert cfg.noise == NoiseSpec("gaussian", 0.02, 4)
         assert cfg.filter == FilterSpec("median", FilterWindow(3, 5))
 
-    @pytest.mark.parametrize("flags", [
-        ["--noise-kind", "none", "--noise-d", "0.5", "--filter-kind", "none", "--window", "5x5"],
-        ["--window", "5x5", "--noise-seed", "3", "--filter-kind", "none", "--noise-kind", "none"],
-    ])
-    def test_kind_none_nulls_its_section(self, tmp_path, flags):
+    def test_kind_none_alone_nulls_the_file_section(self, tmp_path):
         cfg = self.resolve(
-            tmp_path, *flags, noise={"kind": "gaussian", "d": 0.01}, filter={"kind": "median"},
+            tmp_path, "--noise-kind", "none", "--filter-kind", "none",
+            noise={"kind": "gaussian", "d": 0.01}, filter={"kind": "median"},
         )
         assert cfg.noise is None and cfg.filter is None
+
+    @pytest.mark.parametrize("kind_first", [True, False], ids=["kind-first", "kind-last"])
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("--noise-kind", "--noise-d", "0.5"),
+        ("--noise-kind", "--noise-seed", "3"),
+        ("--filter-kind", "--window", "4x4"),  # a window no filter takes is refused all the same
+    ], ids=["noise-d", "noise-seed", "window"])
+    def test_a_flag_beside_kind_none_is_refused(self, tmp_path, capsys, kind, flag, value, kind_first):
+        pair = [kind, "none", flag, value] if kind_first else [flag, value, kind, "none"]
+        argv = ["run", "--input-dir", str(tmp_path / "in"), "--output-dir", str(tmp_path / "out"), *pair]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {flag} has no effect with {kind} none"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, line", [
+        ("mode", "bogus", "mode must be one of ('gray', 'color', 'both'), got 'bogus'"),
+        ("psnr_reference", "original", "psnr_reference must be one of ('clean', 'noisy'), got 'original'"),
+    ], ids=["mode", "psnr_reference"])
+    def test_a_bad_choice_is_the_same_error_from_a_flag_and_a_file(self, tmp_path, capsys, key, value, line):
+        dirs = ["--input-dir", str(tmp_path / "in"), "--output-dir", str(tmp_path / "out")]
+        assert main(["run", *dirs, "--" + key.replace("_", "-"), value]) == 1
+        from_flag = capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["run", "--config", str(path), *dirs]) == 1
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.strip().splitlines() == [f"error: {line}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_a_file_section_that_is_no_object_stays_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -212,6 +212,14 @@ class TestPipelineConfig:
                     assert hint in _declared._SCALARS, f"{cls.__name__}: no builder for {hint}"
         assert seen == {Dimensions, LumaWeights, NoiseSpec, FilterSpec, FilterWindow}
 
+    def test_a_config_is_frozen(self):
+        # a config is checked once, when it is made; a field set afterwards would skip those checks
+        cfg = PipelineConfig.from_mapping({"input_dir": "a", "output_dir": "b", "noise": {"kind": "poisson"}})
+        for field in dataclasses.fields(PipelineConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field.name, getattr(cfg, field.name))
+        assert isinstance(cfg.input_dir, Path) and isinstance(cfg.output_dir, Path)
+
     def test_rejects_bad_mode_and_reference(self, tmp_path):
         with pytest.raises(ConfigurationError):
             PipelineConfig(input_dir=tmp_path, output_dir=tmp_path, mode="sepia")

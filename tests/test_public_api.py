@@ -4,8 +4,9 @@
 `__all__` only fails on `from module import *`. This walks every module of the
 package, and the package itself. It also checks that no module keeps an import
 or a private name that nothing in it uses, that every file a command
-writes is opened in one place, that every metrics report is built in one
-place, that JSON is rendered only for a report and a config digest, that
+writes is opened in one place, that an output directory is made and a
+failed run's files are removed in one place, that every metrics report
+is built in one place, that JSON is rendered only for a report and a config digest, that
 the config digest is the one hash, taken without OpenSSL, that a gray
 frame is promoted to color in one place, that no module warns, and that no
 module reads the process environment.
@@ -126,6 +127,13 @@ def test_one_write_path():
     # every command writes through pipeline._write; netpbm.write_image is library API no command calls
     writes = {write for path in SOURCES for write in _file_writes(path)}
     assert writes == {("pipeline._write", "os.open"), ("netpbm.write_image", "write_bytes")}
+
+
+def test_one_writer():
+    # a command makes its output directory and removes the files of a failed run only in its writer context
+    calls = {(scope, name) for path in SOURCES for scope, name, _ in _calls(path)
+             if name in ("mkdir", "makedirs", "unlink", "remove", "rmdir", "rmtree")}
+    assert calls == {("pipeline._writing", "mkdir"), ("pipeline._writing", "unlink")}
 
 
 def test_one_report_path():
