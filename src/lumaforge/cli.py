@@ -173,7 +173,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, default_output=".")
     data = run_metrics(cfg, args.reference_dir).to_json_bytes()
     if args.output:
-        with _writing() as write:
+        with _writing(Path(args.output).parent) as write:
             write("report", [(Path(args.output), data)])
     print(data.decode("ascii"), end="")
     return 0

@@ -211,7 +211,7 @@ class FrameSequence:
     """
 
     name: str
-    paths: list[Path]
+    paths: tuple[Path, ...]
     dims: Dimensions
     native_kind: str
 
@@ -248,7 +248,7 @@ def ingest_frames(directory) -> FrameSequence:
         if index == next_index:
             raise IngestionError(f"duplicate frame index {index} in {directory}")
 
-    paths = [path for _, _, _, path in entries]
+    paths = tuple(path for _, _, _, path in entries)
     dims = read_dims(paths[0])
     for path in paths[1:]:
         frame_dims = read_dims(path)
@@ -285,16 +285,16 @@ def _write(what: str, artifacts: list[tuple[Path, bytes]], written: list[Path]) 
 
 
 @contextlib.contextmanager
-def _writing(directory: Path | None = None):
-    """Make `directory` and its parents if given, then yield write(what, artifacts), which calls _write.
+def _writing(directory: Path):
+    """Make `directory` and its parents, then yield write(what, artifacts), which calls _write.
 
-    Any exception, KeyboardInterrupt included, removes every file write opened; the directory stays.
+    Every command that writes enters it, `metrics --output` with the file's parent. Any exception,
+    KeyboardInterrupt included, removes every file write opened; the directory stays.
     """
-    if directory is not None:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineStageError(f"cannot create the output directory: {exc}") from exc
     written: list[Path] = []
     try:
         yield lambda what, artifacts: _write(what, artifacts, written)
@@ -463,7 +463,7 @@ def run_metrics(cfg: PipelineConfig, reference_dir) -> MetricsReport:
 
 def _report(cfg: PipelineConfig, sequence: FrameSequence, dims: Dimensions, totals: dict) -> MetricsReport:
     """The report of a sequence from per-kind (squared error, sample count) totals; a kind without one has no PSNR."""
-    psnr_db = {kind: PsnrResult.pooled(*total).psnr_db for kind, total in totals.items()}
+    psnr_db = {kind: PsnrResult(*total).psnr_db for kind, total in totals.items()}
     return MetricsReport(
         sample_name=cfg.sample_name or sequence.name,
         n_frames=len(sequence.paths),

@@ -1,9 +1,9 @@
 """Reconstruction-quality metrics and their serialized artifacts.
 
 PSNR is measured against the 8-bit peak of 255 and pooled by accumulating
-integer squared-error totals (exact, order-independent) before the single
-final division in PsnrResult.pooled: one PSNR per sequence, not a mean of
-per-frame PSNRs.
+integer squared-error totals (exact, order-independent), which a PsnrResult
+holds; its psnr_db is the single final division: one PSNR per sequence, not a
+mean of per-frame PSNRs.
 Improvement percentages compare a color-path result against its grayscale
 counterpart, with the color value as the denominator.
 """
@@ -38,28 +38,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PsnrResult:
-    """Mean squared error and the matching decibel PSNR.
+    """An exact integer squared-error total `sse` over `samples` samples; mse and psnr_db derive from the two."""
 
-    mse = 0 iff psnr_db is infinite (identical inputs); otherwise
-    psnr_db = 10*log10(255^2 / mse).
-    """
+    sse: int
+    samples: int
 
-    mse: float
-    psnr_db: float
+    def __post_init__(self):
+        if self.sse < 0 or self.samples < 1:
+            raise ConfigurationError(f"cannot pool a squared error of {self.sse} over {self.samples} samples")
 
-    @classmethod
-    def pooled(cls, sse: int, samples: int) -> "PsnrResult":
-        """PSNR of an integer squared-error total over `samples` samples; every PSNR is computed here."""
-        if sse < 0 or samples < 1:
-            raise ConfigurationError(f"cannot pool a squared error of {sse} over {samples} samples")
-        if sse == 0:
-            return cls(0.0, math.inf)
-        mse = sse / samples
-        return cls(mse, 10.0 * math.log10(PEAK_VALUE**2 / mse))
+    @property
+    def mse(self) -> float:
+        return self.sse / self.samples
+
+    @property
+    def psnr_db(self) -> float:
+        """10*log10(255^2 / mse), infinite iff sse = 0 (identical inputs); every PSNR is computed here."""
+        return math.inf if self.sse == 0 else 10.0 * math.log10(PEAK_VALUE**2 / self.mse)
 
     @property
     def is_infinite(self) -> bool:
-        return math.isinf(self.psnr_db)
+        return self.sse == 0
 
 
 def squared_error_total(a, b) -> int:
@@ -75,7 +74,7 @@ def squared_error_total(a, b) -> int:
 
 def psnr(a, b) -> PsnrResult:
     """PSNR of two frames that squared_error_total accepts; a color pair pools all 3 * rows * cols samples."""
-    return PsnrResult.pooled(squared_error_total(a, b), a.data.size)
+    return PsnrResult(squared_error_total(a, b), a.data.size)
 
 
 def improvement_pct(gray_db: float, color_db: float) -> float:
@@ -105,14 +104,14 @@ def histogram_csv(hist) -> bytes:
 _INF_FIELDS = ("gray_psnr_db", "color_psnr_db", "improvement_pct")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
     """Per-sequence quality summary; serialized as the report JSON artifact.
 
     PSNR fields are left None for paths the run did not take; infinite PSNR is
-    serialized as the string "inf". improvement_pct is derived from a pair of
-    finite PSNRs whose color value is nonzero; otherwise it keeps the value
-    given (a stored one when loaded, else None).
+    serialized as the string "inf". improvement_pct is always derived: from a
+    pair of finite PSNRs whose color value is nonzero, else None. A value given
+    for it (a stored one when loaded) is type-checked by load, then replaced.
     """
 
     sample_name: str
@@ -129,8 +128,8 @@ class MetricsReport:
         if self.n_frames < 1:
             raise ConfigurationError(f"n_frames must be at least 1, got {self.n_frames}")
         pair = (self.gray_psnr_db, self.color_psnr_db)
-        if all(db is not None and math.isfinite(db) for db in pair) and self.color_psnr_db != 0:
-            self.improvement_pct = improvement_pct(*pair)
+        derived = all(db is not None and math.isfinite(db) for db in pair) and self.color_psnr_db != 0
+        object.__setattr__(self, "improvement_pct", improvement_pct(*pair) if derived else None)
 
     def to_json_bytes(self) -> bytes:
         """The one rendering of a report, as run writes it and metrics prints it: ASCII JSON, "inf" for infinity."""

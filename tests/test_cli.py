@@ -602,6 +602,15 @@ class TestMetricsAndReport:
         assert (tmp_path / "tables" / "table.csv").read_text().splitlines()[1].split(",")[5] == "16.32"
         assert capsys.readouterr().out.splitlines()[1].split()[-1] == "16.32"
 
+    @pytest.mark.parametrize("gray", [None, "inf"], ids=["null_gray", "infinite_gray"])
+    def test_a_stored_improvement_without_a_finite_pair_is_not_shown(self, tmp_path, capsys, gray):
+        # the improvement is derived from the two PSNRs alone, so a pair that gives none shows none
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**_REPORT, "gray_psnr_db": gray, "improvement_pct": 5.0}))
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 0
+        assert (tmp_path / "tables" / "table.csv").read_text().splitlines()[1].split(",")[5] == "n/a"
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "n/a"
+
     def test_a_metrics_report_of_a_tab_stem_is_no_table_row(self, tmp_path, capsys):
         # metrics takes the stem as it is; the report reader, whose names start table rows, rejects it
         frames, path = tmp_path / "frames", tmp_path / "r.json"
@@ -858,17 +867,33 @@ class TestExitCodes:
         assert_one_pipeline_error(code, capsys, blocker)
         assert blocker.is_dir() and list(out.iterdir()) == [blocker]
 
-    @pytest.mark.parametrize("where", ["a_directory", "a_missing_parent"])
+    @pytest.mark.parametrize("where", ["a_directory", "a_parent_that_is_a_file"])
     def test_a_metrics_output_that_cannot_be_written_is_3(self, tmp_path, sequence_dir, capsys, where):
-        target = tmp_path / "taken" if where == "a_directory" else tmp_path / "missing" / "m.json"
+        taken = tmp_path / "taken"
         if where == "a_directory":
-            target.mkdir()
+            taken.mkdir()
+        else:
+            taken.write_text("not a directory")
+        code = main([
+            "metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
+            "--output", str(taken if where == "a_directory" else taken / "m.json"),
+        ])
+        assert assert_one_pipeline_error(code, capsys, taken) == ""
+        if where == "a_directory":
+            assert list(taken.iterdir()) == []
+        else:
+            assert taken.read_text() == "not a directory"
+
+    def test_a_metrics_output_makes_its_missing_parent(self, tmp_path, sequence_dir, capsys):
+        # metrics --output makes its directory as run and report make theirs
+        target = tmp_path / "missing" / "deeper" / "m.json"
         code = main([
             "metrics", "--input-dir", str(sequence_dir), "--reference-dir", str(sequence_dir),
             "--output", str(target),
         ])
-        assert assert_one_pipeline_error(code, capsys, target) == ""
-        assert not (tmp_path / "missing").exists()
+        assert code == 0
+        assert target.read_text(encoding="ascii") == capsys.readouterr().out
+        assert list(target.parent.iterdir()) == [target]
 
     def test_a_report_output_dir_that_is_a_file_is_3(self, tmp_path, sequence_dir, capsys):
         assert main(["run", "--input-dir", str(sequence_dir), "--output-dir", str(tmp_path / "out")]) == 0

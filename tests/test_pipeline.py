@@ -504,8 +504,8 @@ class TestRunPipeline:
             for slot, (ours, clean) in enumerate(zip(planes(color), planes(frame)), start=1):
                 color_sse += squared_error_total(ours, noised(clean, index, slot))
         samples = len(frames) * 16 * 16
-        assert report.gray_psnr_db == PsnrResult.pooled(gray_sse, samples).psnr_db
-        assert report.color_psnr_db == PsnrResult.pooled(color_sse, 3 * samples).psnr_db
+        assert report.gray_psnr_db == PsnrResult(gray_sse, samples).psnr_db
+        assert report.color_psnr_db == PsnrResult(color_sse, 3 * samples).psnr_db
 
     def test_stage_failure_cleans_up_with_frame_index(self, tmp_path, monkeypatch):
         frames = [PixelBuffer(np.full((8, 8), i * 10, dtype=np.uint8)) for i in range(3)]

@@ -9,7 +9,8 @@ failed run's files are removed in one place, that every metrics report
 is built in one place, that JSON is rendered only for a report and a config digest, that
 the config digest is the one hash, taken without OpenSSL, that a gray
 frame is promoted to color in one place, that no module warns, and that no
-module reads the process environment.
+module reads the process environment. Every library value is a frozen
+dataclass, and the package version is written once.
 """
 
 import ast
@@ -137,9 +138,35 @@ def test_one_writer():
 
 
 def test_one_report_path():
-    # run and metrics build their report in pipeline._report, and every PSNR is taken in PsnrResult.pooled
+    # run and metrics build their report in pipeline._report, and every PSNR is taken in PsnrResult.psnr_db
     made = {(scope, name) for path in SOURCES for scope, name, _ in _calls(path) if name in ("MetricsReport", "log10")}
-    assert made == {("pipeline._report", "MetricsReport"), ("quality_metrics.PsnrResult.pooled", "log10")}
+    assert made == {("pipeline._report", "MetricsReport"), ("quality_metrics.PsnrResult.psnr_db", "log10")}
+
+
+def test_values_are_frozen():
+    # a value is checked once, when it is made, so no field may change afterwards:
+    # not by assignment, and not inside a list or dict it holds
+    checks = {}
+    for path in SOURCES:
+        classes = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.ClassDef)]
+        for cls, decorator in ((cls, d) for cls in classes for d in cls.decorator_list):
+            call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) != "dataclass":
+                continue
+            frozen = any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in call.keywords)
+            mutable = [ast.unparse(f) for f in cls.body if isinstance(f, ast.AnnAssign)
+                       and {n.id for n in ast.walk(f.annotation) if isinstance(n, ast.Name)} & {"list", "dict"}]
+            checks[f"{path.stem}.{cls.name}"] = (frozen, mutable)
+    assert {name: check for name, check in checks.items() if check != (True, [])} == {}
+    assert {"quality_metrics.MetricsReport", "quality_metrics.PsnrResult", "pipeline.FrameSequence"} <= set(checks)
+
+
+def test_one_version():
+    # pyproject.toml reads the version from lumaforge.__version__ instead of repeating it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in pyproject["project"] and pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "lumaforge.__version__"}
 
 
 def test_one_promotion():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -126,16 +127,26 @@ class TestPsnr:
             last = value
 
     def test_pooled_rejects_a_negative_total_or_no_samples(self):
-        with pytest.raises(ConfigurationError):
-            PsnrResult.pooled(-1, 4)
-        with pytest.raises(ConfigurationError):
-            PsnrResult.pooled(0, 0)
+        with pytest.raises(ConfigurationError, match="cannot pool a squared error of -1 over 4 samples"):
+            PsnrResult(-1, 4)
+        with pytest.raises(ConfigurationError, match="cannot pool a squared error of 0 over 0 samples"):
+            PsnrResult(0, 0)
 
     @given(st.integers(1, 65025 * 10**6), st.integers(1, 10**6))
     def test_pooled_is_the_mse_formula(self, sse, samples):
-        result = PsnrResult.pooled(sse, samples)
+        result = PsnrResult(sse, samples)
         assert result.mse == sse / samples
         assert result.psnr_db == 10.0 * math.log10(255**2 / (sse / samples))
+
+    def test_a_result_is_its_two_totals(self):
+        # mse and psnr_db are derived, so no pair of them can disagree with the totals
+        result = PsnrResult(9, 3)
+        assert [f.name for f in dataclasses.fields(result)] == ["sse", "samples"]
+        for name in ("sse", "samples"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, 0)
+        assert (result.mse, result.is_infinite) == (3.0, False)
+        assert PsnrResult(0, 3).psnr_db == math.inf and PsnrResult(0, 3).is_infinite
 
 
 class TestImprovement:
@@ -252,9 +263,9 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize("gray, color, given, expected", [
         pytest.param(22.30, 26.65, 99.0, improvement_pct(22.30, 26.65), id="finite_pair"),
-        pytest.param(math.inf, 21.19, 5.0, 5.0, id="infinite_gray"),
+        pytest.param(math.inf, 21.19, 5.0, None, id="infinite_gray"),
         pytest.param(20.0, 0.0, None, None, id="zero_color"),
-        pytest.param(20.0, None, 7.0, 7.0, id="gray_only"),
+        pytest.param(20.0, None, 7.0, None, id="gray_only"),
     ])
     def test_improvement_is_derived_from_a_finite_pair(self, gray, color, given, expected):
         report = MetricsReport(
@@ -267,6 +278,18 @@ class TestMetricsReport:
             improvement_pct=given,
         )
         assert report.improvement_pct == expected
+
+    def test_a_report_cannot_be_changed_after_its_checks(self):
+        # a field set afterwards would skip the n_frames check and leave a stale improvement
+        report = MetricsReport("s", 3, Dimensions(4, 4), "d", 30.0, 25.0)
+        assert report.improvement_pct == -20.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.gray_psnr_db = 20.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.n_frames = 0
+        assert dataclasses.replace(report, gray_psnr_db=20.0).improvement_pct == 20.0
+        with pytest.raises(ConfigurationError, match="n_frames must be at least 1"):
+            dataclasses.replace(report, n_frames=0)
 
     def test_load_rejects_garbage(self, tmp_path):
         from lumaforge import IngestionError
@@ -287,6 +310,6 @@ class TestSequencePooling:
         clean = enhance(PixelBuffer(np.full((4, 4), 7, dtype=np.uint8)))
         off = PixelBuffer(np.full((4, 4), 254, dtype=np.uint8))
         sse = squared_error_total(clean, clean) + squared_error_total(clean, off)
-        pooled = PsnrResult.pooled(sse, 32)
+        pooled = PsnrResult(sse, 32)
         assert math.isfinite(pooled.psnr_db)
         assert pooled.mse == (16 * 1) / 32
