@@ -27,12 +27,9 @@ from .noise_models import (
     speckle,
 )
 from .pipeline import (
-    FILTER_KINDS,
-    FilterSpec,
     FrameSequence,
     PipelineConfig,
     ingest_frames,
-    report_table,
     run_metrics,
     run_pipeline,
     run_stage,
@@ -52,7 +49,8 @@ from .quality_metrics import (
     PsnrResult,
     improvement_pct,
     psnr,
+    report_table,
 )
-from .smoothing_filters import FilterWindow, hybrid_median_filter, median_filter
+from .smoothing_filters import FILTER_KINDS, FilterSpec, FilterWindow, hybrid_median_filter, median_filter
 
 __version__ = "0.1.0"

@@ -26,17 +26,16 @@ from ._declared import read_json
 from .errors import ConfigurationError, IngestionError, PipelineStageError
 from .noise_models import NOISE_KINDS
 from .pipeline import (
-    FILTER_KINDS,
     MODES,
     PSNR_REFERENCES,
     PipelineConfig,
     _writing,
-    report_table,
     run_metrics,
     run_pipeline,
     run_stage,
 )
-from .quality_metrics import MetricsReport
+from .quality_metrics import MetricsReport, report_table
+from .smoothing_filters import FILTER_KINDS
 
 
 class _Parser(argparse.ArgumentParser):

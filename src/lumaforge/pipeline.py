@@ -1,4 +1,6 @@
-"""Batch orchestration over directories of numbered netpbm frames.
+"""Batch orchestration over directories of numbered netpbm frames: the config,
+ingestion, the writer, the frame loop, run_metrics and the report's assembly.
+Each step's spec lives in its step's module, every rendering in quality_metrics.
 
 A run checks the headers of a frame sequence, then a pool of workers decodes
 and processes one frame at a time while the calling thread writes each frame's
@@ -60,13 +62,8 @@ from .quality_metrics import (
     squared_error_total,
 )
 from .rng import U64_MAX, derive_seed
-from .smoothing_filters import (
-    FilterWindow,
-    hybrid_median_filter,
-    median_filter,
-)
+from .smoothing_filters import FilterSpec, hybrid_median_filter, median_filter
 
-FILTER_KINDS = ("median", "hybrid_median")
 MODES = ("gray", "color", "both")
 PSNR_REFERENCES = ("clean", "noisy")
 
@@ -81,39 +78,20 @@ MAX_SAMPLES = 2**26
 _FRAME_FILE_RE = re.compile(r"(?P<stem>.+)_(?P<index>\d+)\.(?P<ext>pgm|ppm)", re.DOTALL)
 
 __all__ = [
-    "FILTER_KINDS",
     "MODES",
     "DEFAULT_RESIZE",
-    "FilterSpec",
     "PipelineConfig",
     "FrameSequence",
     "ingest_frames",
     "run_pipeline",
     "run_stage",
     "run_metrics",
-    "report_table",
 ]
 
 
 def _plain_name(name: str) -> bool:
     """Whether name can prefix artifact file names: one plain file name in output_dir, one line in table.txt."""
     return name not in ("", ".", "..") and name.isprintable() and "/" not in name and "\\" not in name
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Smoothing stage selector: which filter and what window."""
-
-    kind: str
-    window: FilterWindow = FilterWindow(3, 3)
-
-    def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ConfigurationError(
-                f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
-            )
-        if self.kind == "hybrid_median":
-            self.window._check_hybrid()
 
 
 @dataclass(frozen=True)
@@ -473,42 +451,3 @@ def _report(cfg: PipelineConfig, sequence: FrameSequence, dims: Dimensions, tota
         color_psnr_db=psnr_db.get("color"),
         size_label=cfg.size_label,
     )
-
-
-def _format_db(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.2f}"  # an infinite value formats as "inf"
-
-
-def _csv_cell(text: str) -> str:
-    """A CSV cell, quoted with its quotes doubled only when it holds a comma, a quote or a line break."""
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
-
-
-def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
-    """Render reports as (csv_text, aligned_text), one row per sample.
-
-    The improvement column is the report's improvement_pct, which
-    MetricsReport derives from a finite PSNR pair; missing values render as n/a.
-    """
-    if not reports:
-        raise ConfigurationError("report_table needs at least one report")
-    header = ["sample", "size", "frames", "gray_psnr_db", "color_psnr_db", "improvement_pct"]
-    rows = [header]
-    for report in reports:
-        rows.append(
-            [
-                report.sample_name,
-                report.size_label if report.size_label is not None else "n/a",
-                str(report.n_frames),
-                _format_db(report.gray_psnr_db),
-                _format_db(report.color_psnr_db),
-                _format_db(report.improvement_pct),
-            ]
-        )
-    csv_text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    aligned = "\n".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ) + "\n"
-    return csv_text, aligned

@@ -1,11 +1,12 @@
-"""Reconstruction-quality metrics and their serialized artifacts.
+"""Reconstruction-quality metrics and every rendering of them.
 
 PSNR is measured against the 8-bit peak of 255 and pooled by accumulating
 integer squared-error totals (exact, order-independent), which a PsnrResult
 holds; its psnr_db is the single final division: one PSNR per sequence, not a
 mean of per-frame PSNRs.
 Improvement percentages compare a color-path result against its grayscale
-counterpart, with the color value as the denominator.
+counterpart, with the color value as the denominator. Renderings: histogram_csv,
+MetricsReport.to_json_bytes (the report JSON) and report_table (its tables).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "psnr",
     "improvement_pct",
     "histogram_csv",
+    "report_table",
 ]
 
 
@@ -109,9 +111,10 @@ class MetricsReport:
     """Per-sequence quality summary; serialized as the report JSON artifact.
 
     PSNR fields are left None for paths the run did not take; infinite PSNR is
-    serialized as the string "inf". improvement_pct is always derived: from a
-    pair of finite PSNRs whose color value is nonzero, else None. A value given
-    for it (a stored one when loaded) is type-checked by load, then replaced.
+    serialized as the string "inf"; a NaN or -inf one is refused. improvement_pct
+    is always derived: from a pair of finite PSNRs whose color value is nonzero,
+    if finite, else None. A value given for it (a stored one when loaded) is
+    type-checked by load, then replaced.
     """
 
     sample_name: str
@@ -128,8 +131,11 @@ class MetricsReport:
         if self.n_frames < 1:
             raise ConfigurationError(f"n_frames must be at least 1, got {self.n_frames}")
         pair = (self.gray_psnr_db, self.color_psnr_db)
+        if any(db is not None and not db > -math.inf for db in pair):  # NaN compares false too
+            raise ConfigurationError(f"a PSNR must be a finite number or inf, got {pair[0]} gray, {pair[1]} color")
         derived = all(db is not None and math.isfinite(db) for db in pair) and self.color_psnr_db != 0
-        object.__setattr__(self, "improvement_pct", improvement_pct(*pair) if derived else None)
+        pct = improvement_pct(*pair) if derived else math.nan  # two finite PSNRs far apart overflow it
+        object.__setattr__(self, "improvement_pct", pct if math.isfinite(pct) else None)
 
     def to_json_bytes(self) -> bytes:
         """The one rendering of a report, as run writes it and metrics prints it: ASCII JSON, "inf" for infinity."""
@@ -159,3 +165,42 @@ class MetricsReport:
         except IngestionError as exc:
             raise IngestionError(f"{path}: {exc}") from exc
         return report
+
+
+def _format_db(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.2f}"  # an infinite value formats as "inf"
+
+
+def _csv_cell(text: str) -> str:
+    """A CSV cell, quoted with its quotes doubled only when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def report_table(reports: list[MetricsReport]) -> tuple[str, str]:
+    """Render reports as (csv_text, aligned_text), one row per sample.
+
+    The improvement column is the report's improvement_pct, which
+    MetricsReport derives from a finite PSNR pair; missing values render as n/a.
+    """
+    if not reports:
+        raise ConfigurationError("report_table needs at least one report")
+    header = ["sample", "size", "frames", "gray_psnr_db", "color_psnr_db", "improvement_pct"]
+    rows = [header]
+    for report in reports:
+        rows.append(
+            [
+                report.sample_name,
+                report.size_label if report.size_label is not None else "n/a",
+                str(report.n_frames),
+                _format_db(report.gray_psnr_db),
+                _format_db(report.color_psnr_db),
+                _format_db(report.improvement_pct),
+            ]
+        )
+    csv_text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
+    aligned = "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ) + "\n"
+    return csv_text, aligned

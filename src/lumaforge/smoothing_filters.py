@@ -31,7 +31,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .pixel_core import ColorBuffer, PixelBuffer
 
-__all__ = ["FilterWindow", "median_filter", "hybrid_median_filter"]
+FILTER_KINDS = ("median", "hybrid_median")
+
+__all__ = ["FILTER_KINDS", "FilterSpec", "FilterWindow", "median_filter", "hybrid_median_filter"]
 
 # largest window side: past 31x31 (n = 961) a cached plan takes seconds and tens of MB
 MAX_WINDOW_SIDE = 31
@@ -58,6 +60,22 @@ class FilterWindow:
             raise ConfigurationError(f"hybrid median needs a square window, got {self.rows}x{self.cols}")
         if self.rows < 3:
             raise ConfigurationError(f"hybrid median needs window side >= 3, got {self.rows}")
+
+
+@dataclass(frozen=True)
+class FilterSpec:
+    """Smoothing stage selector: which filter and what window."""
+
+    kind: str
+    window: FilterWindow = FilterWindow(3, 3)
+
+    def __post_init__(self):
+        if self.kind not in FILTER_KINDS:
+            raise ConfigurationError(
+                f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
+            )
+        if self.kind == "hybrid_median":
+            self.window._check_hybrid()
 
 
 def _batcher_pairs(size: int):

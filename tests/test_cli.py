@@ -611,6 +611,14 @@ class TestMetricsAndReport:
         assert (tmp_path / "tables" / "table.csv").read_text().splitlines()[1].split(",")[5] == "n/a"
         assert capsys.readouterr().out.splitlines()[1].split()[-1] == "n/a"
 
+    def test_an_overflowing_improvement_is_not_shown(self, tmp_path, capsys):
+        # (1e-308 - 1e308) / 1e-308 overflows; the table shows no improvement rather than -inf
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**_REPORT, "gray_psnr_db": 1e308, "color_psnr_db": 1e-308}))
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "tables")]) == 0
+        assert (tmp_path / "tables" / "table.csv").read_text().splitlines()[1].split(",")[5] == "n/a"
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "n/a"
+
     def test_a_metrics_report_of_a_tab_stem_is_no_table_row(self, tmp_path, capsys):
         # metrics takes the stem as it is; the report reader, whose names start table rows, rejects it
         frames, path = tmp_path / "frames", tmp_path / "r.json"

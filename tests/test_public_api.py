@@ -8,7 +8,8 @@ writes is opened in one place, that an output directory is made and a
 failed run's files are removed in one place, that every metrics report
 is built in one place, that JSON is rendered only for a report and a config digest, that
 the config digest is the one hash, taken without OpenSSL, that a gray
-frame is promoted to color in one place, that no module warns, and that no
+frame is promoted to color in one place, that each step's spec and a report's
+tables are defined beside what they serve, that no module warns, and that no
 module reads the process environment. Every library value is a frozen
 dataclass, and the package version is written once.
 """
@@ -177,6 +178,26 @@ def test_one_promotion():
         and getattr(call.func.value, "id", None) == "ColorBuffer"
     }
     assert promotions == {"pipeline._promoted"}
+
+
+def test_steps_own_their_rules():
+    # pipeline only orchestrates: the step specs PipelineConfig holds are defined in their steps' modules, the
+    # hybrid window rule is checked only in the filter module, and a report's tables are rendered beside its JSON
+    wanted = {"NoiseSpec", "FilterSpec", "MetricsReport", "report_table", "_format_db", "_csv_cell"}
+    homes = {
+        (node.name, path.stem) for path in SOURCES for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in wanted
+    }
+    assert homes == {
+        ("NoiseSpec", "noise_models"),
+        ("FilterSpec", "smoothing_filters"),
+        ("MetricsReport", "quality_metrics"),
+        ("report_table", "quality_metrics"),
+        ("_format_db", "quality_metrics"),
+        ("_csv_cell", "quality_metrics"),
+    }
+    hybrid_checks = {scope.split(".")[0] for path in SOURCES for scope, name, _ in _calls(path) if name == "_check_hybrid"}
+    assert hybrid_checks == {"smoothing_filters"}
 
 
 def test_one_json_rendering():

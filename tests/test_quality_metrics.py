@@ -279,6 +279,21 @@ class TestMetricsReport:
         )
         assert report.improvement_pct == expected
 
+    def test_an_overflowing_improvement_round_trips_as_none(self, tmp_path):
+        # two finite PSNRs whose quotient overflows: the report keeps no improvement, so load reads its bytes back
+        report = MetricsReport("clip", 1, Dimensions(2, 2), "d", gray_psnr_db=1e308, color_psnr_db=1e-308)
+        assert report.improvement_pct is None
+        path = tmp_path / "report.json"
+        path.write_bytes(report.to_json_bytes())
+        assert '"improvement_pct": null' in path.read_text()
+        assert MetricsReport.load(path) == report
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+    @pytest.mark.parametrize("key", ["gray_psnr_db", "color_psnr_db"])
+    def test_a_nan_or_minus_inf_psnr_is_refused(self, key, bad):
+        with pytest.raises(ConfigurationError, match="a PSNR must be a finite number or inf"):
+            MetricsReport("clip", 1, Dimensions(2, 2), "d", **{key: bad})
+
     def test_a_report_cannot_be_changed_after_its_checks(self):
         # a field set afterwards would skip the n_frames check and leave a stale improvement
         report = MetricsReport("s", 3, Dimensions(4, 4), "d", 30.0, 25.0)
